@@ -1,7 +1,7 @@
 """Setuptools shim for environments without the ``wheel`` package.
 
-``pip install -e . --no-use-pep517`` uses this file directly; the canonical
-project metadata lives in ``pyproject.toml``.
+``pip install -e . --no-use-pep517`` uses this file directly; it holds the
+whole project metadata.
 """
 
 from setuptools import find_packages, setup

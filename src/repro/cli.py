@@ -28,7 +28,8 @@ Subcommands:
   With ``--workers > 1`` every job runs under per-job supervision
   (``--max-retries`` pool attempts with backoff, ``--job-timeout`` wall
   clocks, pool rebuilds, in-process degradation); jobs that exhaust every
-  recovery path are *dead-lettered* and the sweep exits with code 3 after
+  recovery path, or hit a deterministic model error such as a golden-check
+  failure, are *dead-lettered* and the sweep exits with code 3 after
   journaling all completed work to the cache.  ``repro sweep --resume``
   points at that journal and re-executes only the missing jobs.  Ctrl-C
   shuts the pool down, flushes the counter ledgers and exits 130.
@@ -63,7 +64,7 @@ import json
 import math
 import os
 import sys
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Mapping, Optional, Sequence
 
 from repro.experiments.bench import (
     BENCH_FAMILIES,
@@ -102,15 +103,14 @@ from repro.experiments.warehouse import (
     warehouse_stats,
 )
 from repro.experiments.figures import (
+    FIGURE_DEMANDS,
     FIGURE_HARNESSES,
     STANDALONE_HARNESSES,
     SWEEP_FAMILIES,
     default_runner,
-    sweep_smt_configs,
 )
 from repro.analysis.lint import all_rules, refresh_manifest, run_lint
 from repro.experiments.orchestrator import (
-    FIGURE_PLANS,
     FigurePlan,
     SweepOrchestrator,
     orchestrate_figures,
@@ -141,24 +141,9 @@ EXIT_DEAD_LETTER = 3
 #: Exit code on Ctrl-C, following the shell convention of 128 + SIGINT.
 EXIT_INTERRUPT = 130
 
-#: Environment variable flipping the default of ``--orchestrate`` (``0``,
-#: ``false``, ``no`` or ``off`` disable cross-figure orchestration when the
-#: flag is not given explicitly).
-ORCHESTRATE_ENV = "REPRO_ORCHESTRATE"
-
 
 def _resolve_cache_dir(arg: Optional[str]) -> str:
     return arg or os.environ.get(CACHE_DIR_ENV) or DEFAULT_CACHE_DIR
-
-
-def _resolve_orchestrate(flag: Optional[bool]) -> bool:
-    """The effective orchestration switch: explicit flag, else env, else on."""
-    if flag is not None:
-        return flag
-    raw = os.environ.get(ORCHESTRATE_ENV)
-    if raw is None:
-        return True
-    return raw.strip().lower() not in {"0", "false", "no", "off"}
 
 
 def _human_bytes(count: int) -> str:
@@ -177,11 +162,6 @@ def _add_cache_dir_argument(parser: argparse.ArgumentParser) -> None:
 
 def _add_runner_arguments(parser: argparse.ArgumentParser) -> None:
     _add_cache_dir_argument(parser)
-    parser.add_argument(
-        "--orchestrate", action=argparse.BooleanOptionalAction, default=None,
-        help="dedupe shared jobs across figures/configs and execute them as "
-             "one continuously fed wave (default: on, or $"
-             f"{ORCHESTRATE_ENV})")
     parser.add_argument("--workers", type=int, default=1,
                         help="worker processes (>1 uses the parallel runner)")
     parser.add_argument("--per-suite", type=int, default=2,
@@ -297,8 +277,9 @@ def _print_runner_health(runner: ExperimentRunner) -> None:
 
 def _print_failure_summary(error: SweepExecutionError) -> None:
     """Explain a dead-lettered sweep on stderr, including the resume hint."""
-    print("sweep failed: job(s) dead-lettered after exhausting retries and "
-          "the in-process fallback", file=sys.stderr)
+    print("sweep failed: job(s) dead-lettered (model errors at once, other "
+          "failures after exhausting retries and the in-process fallback)",
+          file=sys.stderr)
     print(format_dead_letters(error.dead_letters), file=sys.stderr)
     print(format_health_report(error.health, title="sweep health at failure"),
           file=sys.stderr)
@@ -501,7 +482,7 @@ def _cmd_warehouse(args: argparse.Namespace) -> int:
         f"unhandled warehouse command {args.warehouse_command!r}")
 
 
-def _parse_config_subset(raw: Optional[str], available: Dict[str, object],
+def _parse_config_subset(raw: Optional[str], available: Mapping[str, object],
                          what: str) -> Dict[str, object]:
     if raw is None:
         return dict(available)
@@ -546,16 +527,17 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                 "nothing to resume from")
     configs = _parse_config_subset(args.configs, _sweep_families(args.families),
                                    "configs")
-    smt_configs = _parse_config_subset(args.smt_configs, sweep_smt_configs(),
+    # The SMT sweep set is fig. 14's declared SMT demand.
+    smt_configs = _parse_config_subset(args.smt_configs,
+                                       FIGURE_DEMANDS["fig14"]().smt_configs,
                                        "SMT configs")
-    orchestrate = _resolve_orchestrate(args.orchestrate)
     wave_stats = None
     with _build_runner(args) as runner:
         label = f"shard {shard.index}/{shard.count}" if shard else "full sweep"
         print(f"{label}: {len(runner.specs())} workloads, "
               f"{len(configs)} configs, {len(smt_configs)} SMT configs "
               f"-> cache {runner.cache.directory}")
-        if orchestrate and (configs or smt_configs):
+        if configs or smt_configs:
             # One deduped wave over every outstanding job (single-thread and
             # SMT alike); the per-config loops below then just read back the
             # committed results without simulating anything.
@@ -567,18 +549,12 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                 print(f"resume: {wave_stats.cache_warm} job(s) already "
                       f"journaled, {wave_stats.executed} executed")
         for name, config in configs.items():
-            before = runner.cache.stats.stores
             results = runner.run_config(name, config, shard=shard)
-            note = ("wave" if orchestrate
-                    else f"{runner.cache.stats.stores - before} simulated")
-            print(f"  {name}: {len(results)} workloads ({note})")
+            print(f"  {name}: {len(results)} workloads (wave)")
         for name, config in smt_configs.items():
-            before = runner.cache.stats.stores
             results = runner.run_smt_config(name, config,
                                             max_pairs=args.max_pairs, shard=shard)
-            note = ("wave" if orchestrate
-                    else f"{runner.cache.stats.stores - before} simulated")
-            print(f"  smt:{name}: {len(results)} pairs ({note})")
+            print(f"  smt:{name}: {len(results)} pairs (wave)")
         simulated = runner.cache.stats.stores
         inspected = (runner.report_cache.stats.stores
                      if runner.report_cache is not None else 0)
@@ -608,19 +584,15 @@ def _cmd_figures(args: argparse.Namespace) -> int:
         else:
             available = sorted(FIGURE_HARNESSES) + sorted(STANDALONE_HARNESSES)
             raise SystemExit(f"unknown figure {name!r}; available: {available}")
-    orchestrate = _resolve_orchestrate(args.orchestrate)
     with _build_runner(args) as runner:
         orchestrated: Dict[str, Dict[str, object]] = {}
         dedup_stats = None
-        if orchestrate:
-            planned = [name for name in names if name in FIGURE_PLANS]
-            if planned:
-                orchestrated, dedup_stats = orchestrate_figures(runner, planned)
+        planned = [name for name in names if name in FIGURE_HARNESSES]
+        if planned:
+            orchestrated, dedup_stats = orchestrate_figures(runner, planned)
         for name in names:
             if name in orchestrated:
                 result = orchestrated[name]
-            elif name in FIGURE_HARNESSES:
-                result = FIGURE_HARNESSES[name](runner)
             else:
                 result = STANDALONE_HARNESSES[name]()
             if args.json:

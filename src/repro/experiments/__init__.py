@@ -32,7 +32,6 @@ from repro.experiments.runner import (
 from repro.experiments.parallel import ParallelExperimentRunner
 from repro.experiments.orchestrator import (
     DedupStats,
-    FIGURE_PLANS,
     FigurePlan,
     SweepOrchestrator,
     orchestrate_figures,
@@ -61,7 +60,6 @@ __all__ = [
     "named_configs",
     "DeadLetter",
     "DedupStats",
-    "FIGURE_PLANS",
     "FaultPlan",
     "FaultSpec",
     "FigurePlan",

@@ -500,13 +500,14 @@ def run_orchestrator_bench(quick: bool = False,
                            figures: Optional[Sequence[str]] = None,
                            reps: Optional[int] = None,
                            discard_warmup: bool = True) -> Dict[str, object]:
-    """Measure the cross-figure orchestrator against the serial per-figure path.
+    """Measure the cross-figure orchestrator against per-figure waves.
 
     Both paths run the same figure set cold (no on-disk cache) on identical
-    parallel runners: the *serial* path executes each harness back-to-back —
-    every ``run_config`` call is its own pool barrier, exactly what
-    ``repro figures all --no-orchestrate`` does — while the *orchestrated*
-    path dedups all figures' jobs and feeds them through one wave.  The
+    parallel runners: the *serial* path calls each harness back-to-back, so
+    every figure runs its own declared demand as its own wave (deduped only
+    within the figure, with a pool barrier between figures), while the
+    *orchestrated* path dedups all figures' jobs and feeds them through one
+    wave.  The
     serial-vs-wave measurement repeats ``reps`` times (fresh runners each
     repetition, warm-up discardable exactly like :func:`run_bench`); figure
     payloads are verified bit-identical between the two paths on every

@@ -1,28 +1,32 @@
 """Per-figure experiment harnesses.
 
-Every public function regenerates one table or figure of the paper and returns
-a plain dictionary with the numbers (plus, in most cases, a ``text`` entry with
-a formatted table).  The functions accept an :class:`ExperimentRunner`; when
-none is given they build a small default runner so that each harness stays
-runnable on a laptop in seconds-to-minutes.
+Every public ``fig*``/``table*`` function regenerates one table or figure of
+the paper and returns a plain dictionary with the numbers (plus, in most
+cases, a ``text`` entry with a formatted table).  The harnesses accept an
+:class:`ExperimentRunner`; when none is given they build a small default
+runner so that each harness stays runnable on a laptop in seconds-to-minutes.
+
+Each runner-consuming figure declares its configuration demand exactly once,
+as a :class:`~repro.experiments.orchestrator.FigurePlan` returned by the
+``fig*_plan`` function next to its harness.  The harness runs its own plan as
+one wave and reads its results back by config name; the same declarations
+feed the cross-figure orchestrator (:data:`FIGURE_DEMANDS`), the ``repro
+sweep`` families (:data:`SWEEP_FAMILIES`) and the SMT sweep set (fig. 14's).
 
 The absolute values will not match the paper (synthetic workloads, simplified
-core); EXPERIMENTS.md records, per figure, which qualitative property is
-expected to hold.
+core).
 """
 
 from __future__ import annotations
 
 import os
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.analysis.load_inspector import inspect_trace
 from repro.analysis.stats_utils import box_whisker_summary, filtered_geomean
 from repro.core.config import ConstableConfig
 from repro.core.ideal import IdealMode, IdealOracle
 from repro.core.storage import storage_overhead_report
 from repro.experiments.configs import (
-    EXPERIMENT_CONFIDENCE_THRESHOLD,
     baseline_config,
     constable_config,
     constable_engine_config,
@@ -35,6 +39,7 @@ from repro.experiments.configs import (
 )
 from repro.experiments.cache import (CACHE_DIR_ENV, DEFAULT_CACHE_DIR,
                                      SCHEMA_VERSION, ReportCache, ResultCache)
+from repro.experiments.orchestrator import FigurePlan, SweepOrchestrator
 from repro.experiments.parallel import ParallelExperimentRunner
 from repro.experiments.warehouse import (load_rows, speedup_summary,
                                          warehouse_present)
@@ -44,7 +49,6 @@ from repro.isa.instruction import AddressingMode
 from repro.pipeline.config import CoreConfig
 from repro.power.cacti import constable_structure_estimates
 from repro.power.power_model import CorePowerModel
-from repro.workloads.generator import generate_trace
 from repro.workloads.suites import SUITE_NAMES
 
 
@@ -91,11 +95,58 @@ def _ideal_builder(mode: IdealMode, lvp: Optional[str] = None):
     return build
 
 
+#: Every figure harness that consumes a shared :class:`ExperimentRunner`,
+#: addressable by name from ``repro figures``; ``all`` expands to this set.
+FIGURE_HARNESSES: Dict[str, Callable[..., Dict[str, object]]] = {}
+
+#: Each of those figures' declared demand: its ``fig*_plan`` function (called
+#: with default parameters), by figure name.  The cross-figure orchestrator
+#: merges these into one wave.
+FIGURE_DEMANDS: Dict[str, Callable[[], FigurePlan]] = {}
+
+
+def _figure(plan: Callable[[], FigurePlan]):
+    """Register the decorated harness and its plan under the plan's figure name."""
+    def register(harness: Callable[..., Dict[str, object]]):
+        name = plan().figure
+        FIGURE_HARNESSES[name] = harness
+        FIGURE_DEMANDS[name] = plan
+        return harness
+    return register
+
+
+def _run_plan(runner: Optional[ExperimentRunner], plan: FigurePlan
+              ) -> Tuple[ExperimentRunner, Dict[str, Dict]]:
+    """Run ``plan``'s demand as one wave on ``runner`` (a default runner if None).
+
+    Returns the runner and each config's results by name — per workload for
+    ``configs``, per pair for ``smt_configs`` — exactly as
+    ``run_config``/``run_smt_config`` return them (no figure uses one name
+    for both kinds).  Demand an earlier wave already committed is not
+    simulated again.
+    """
+    runner = runner or default_runner()
+    SweepOrchestrator(runner).execute([plan])
+    results: Dict[str, Dict] = {
+        name: runner.run_config(name, config)
+        for name, config in plan.configs.items()}
+    results.update({
+        name: runner.run_smt_config(name, config, max_pairs=plan.smt_max_pairs)
+        for name, config in plan.smt_configs.items()})
+    return runner, results
+
+
 # ======================================================================== Fig 3
 
+def fig3_plan() -> FigurePlan:
+    """Fig. 3 consumes only traces and Load Inspector reports."""
+    return FigurePlan("fig3")
+
+
+@_figure(fig3_plan)
 def fig3_global_stable_characterisation(runner: Optional[ExperimentRunner] = None) -> Dict[str, object]:
     """Fig. 3: fraction, addressing modes and reuse distances of global-stable loads."""
-    runner = runner or default_runner()
+    runner, _ = _run_plan(runner, fig3_plan())
     per_suite_fraction: Dict[str, List[float]] = {suite: [] for suite in runner.suites}
     mode_breakdown: Dict[str, Dict[str, List[float]]] = {}
     distance: Dict[str, List[float]] = {}
@@ -136,10 +187,16 @@ def fig3_global_stable_characterisation(runner: Optional[ExperimentRunner] = Non
 
 # ======================================================================== Fig 6
 
+def fig6_plan() -> FigurePlan:
+    """Fig. 6: load-port utilisation under baseline + EVES."""
+    return FigurePlan("fig6", configs={"baseline+eves": eves_config()})
+
+
+@_figure(fig6_plan)
 def fig6_load_port_utilisation(runner: Optional[ExperimentRunner] = None) -> Dict[str, object]:
     """Fig. 6: load-port-utilised cycles and how often stable loads hold the port."""
-    runner = runner or default_runner()
-    results = runner.run_config("baseline+eves", eves_config())
+    _, plan_results = _run_plan(runner, fig6_plan())
+    results = plan_results["baseline+eves"]
     utilised_fractions = []
     blocking_fractions = []
     for result in results.values():
@@ -164,17 +221,23 @@ def fig6_load_port_utilisation(runner: Optional[ExperimentRunner] = None) -> Dic
 
 # ======================================================================== Fig 7
 
+def fig7_plan() -> FigurePlan:
+    """Fig. 7: ideal-mechanism headroom sweeps."""
+    return FigurePlan("fig7", configs={
+        "baseline": baseline_config(),
+        "ideal_stable_lvp": _ideal_builder(IdealMode.STABLE_LVP),
+        "ideal_stable_lvp_fetch_elim":
+            _ideal_builder(IdealMode.STABLE_LVP_FETCH_ELIM),
+        "2x_load_width": baseline_config().with_load_width(6),
+        "ideal_constable": _ideal_builder(IdealMode.CONSTABLE),
+    })
+
+
+@_figure(fig7_plan)
 def fig7_headroom(runner: Optional[ExperimentRunner] = None) -> Dict[str, object]:
     """Fig. 7: Ideal Constable vs Ideal Stable LVP vs 2x load width."""
-    runner = runner or default_runner()
-    runner.run_config("baseline", baseline_config())
-    runner.run_config("ideal_stable_lvp", _ideal_builder(IdealMode.STABLE_LVP))
-    runner.run_config("ideal_stable_lvp_fetch_elim",
-                      _ideal_builder(IdealMode.STABLE_LVP_FETCH_ELIM))
-    runner.run_config("2x_load_width", baseline_config().with_load_width(6))
-    runner.run_config("ideal_constable", _ideal_builder(IdealMode.CONSTABLE))
-    configs = ["ideal_stable_lvp", "ideal_stable_lvp_fetch_elim", "2x_load_width",
-               "ideal_constable"]
+    runner, results = _run_plan(runner, fig7_plan())
+    configs = [name for name in results if name != "baseline"]
     per_suite = {}
     for config in configs:
         for suite, value in runner.speedups_by_suite(config).items():
@@ -187,14 +250,22 @@ def fig7_headroom(runner: Optional[ExperimentRunner] = None) -> Dict[str, object
 
 # ======================================================================== Fig 9
 
+def fig9_plan() -> FigurePlan:
+    """Fig. 9: SLD update rate and wrong-path sensitivity."""
+    return FigurePlan("fig9", configs={
+        "baseline": baseline_config(),
+        "constable": constable_config(),
+        "constable_wrong_path": constable_config(
+            constable=constable_engine_config(wrong_path_updates=True)),
+    })
+
+
+@_figure(fig9_plan)
 def fig9_sld_updates(runner: Optional[ExperimentRunner] = None) -> Dict[str, object]:
     """Fig. 9: SLD updates per cycle and the effect of wrong-path updates."""
-    runner = runner or default_runner()
-    runner.run_config("baseline", baseline_config())
-    clean = runner.run_config("constable", constable_config())
-    noisy = runner.run_config(
-        "constable_wrong_path",
-        constable_config(constable=constable_engine_config(wrong_path_updates=True)))
+    _, results = _run_plan(runner, fig9_plan())
+    clean = results["constable"]
+    noisy = results["constable_wrong_path"]
     updates = [result.stats.average_sld_updates_per_cycle() for result in clean.values()]
     deltas = []
     for name in clean:
@@ -221,16 +292,22 @@ def fig9_sld_updates(runner: Optional[ExperimentRunner] = None) -> Dict[str, obj
 
 # ======================================================================= Fig 11
 
+def fig11_plan() -> FigurePlan:
+    """Fig. 11: the headline noSMT speedup sweep."""
+    return FigurePlan("fig11", configs={
+        "baseline": baseline_config(),
+        "eves": eves_config(),
+        "constable": constable_config(),
+        "eves+constable": eves_constable_config(),
+        "eves+ideal_constable": _ideal_builder(IdealMode.CONSTABLE, lvp="eves"),
+    })
+
+
+@_figure(fig11_plan)
 def fig11_speedup_nosmt(runner: Optional[ExperimentRunner] = None) -> Dict[str, object]:
     """Fig. 11: noSMT speedups of EVES, Constable, EVES+Constable, EVES+Ideal Constable."""
-    runner = runner or default_runner()
-    runner.run_config("baseline", baseline_config())
-    runner.run_config("eves", eves_config())
-    runner.run_config("constable", constable_config())
-    runner.run_config("eves+constable", eves_constable_config())
-    runner.run_config("eves+ideal_constable",
-                      _ideal_builder(IdealMode.CONSTABLE, lvp="eves"))
-    configs = ["eves", "constable", "eves+constable", "eves+ideal_constable"]
+    runner, results = _run_plan(runner, fig11_plan())
+    configs = [name for name in results if name != "baseline"]
     per_suite = {}
     for config in configs:
         for suite, value in runner.speedups_by_suite(config).items():
@@ -243,13 +320,20 @@ def fig11_speedup_nosmt(runner: Optional[ExperimentRunner] = None) -> Dict[str, 
 
 # ======================================================================= Fig 12
 
+def fig12_plan() -> FigurePlan:
+    """Fig. 12: per-workload speedups (subset of fig. 11's configs)."""
+    return FigurePlan("fig12", configs={
+        "baseline": baseline_config(),
+        "eves": eves_config(),
+        "constable": constable_config(),
+        "eves+constable": eves_constable_config(),
+    })
+
+
+@_figure(fig12_plan)
 def fig12_per_workload(runner: Optional[ExperimentRunner] = None) -> Dict[str, object]:
     """Fig. 12: per-workload speedup line graph data (sorted by EVES speedup)."""
-    runner = runner or default_runner()
-    runner.run_config("baseline", baseline_config())
-    runner.run_config("eves", eves_config())
-    runner.run_config("constable", constable_config())
-    runner.run_config("eves+constable", eves_constable_config())
+    runner, _ = _run_plan(runner, fig12_plan())
     eves = runner.speedups("eves")
     constable = runner.speedups("constable")
     combined = runner.speedups("eves+constable")
@@ -272,23 +356,27 @@ def fig12_per_workload(runner: Optional[ExperimentRunner] = None) -> Dict[str, o
 
 # ======================================================================= Fig 13
 
-def fig13_load_categories(runner: Optional[ExperimentRunner] = None) -> Dict[str, object]:
-    """Fig. 13: Constable restricted to PC-/stack-/register-relative loads."""
-    runner = runner or default_runner()
-    runner.run_config("baseline", baseline_config())
+def fig13_plan() -> FigurePlan:
+    """Fig. 13: Constable restricted to single addressing-mode categories."""
+    configs: Dict[str, ConfigLike] = {"baseline": baseline_config()}
     categories = {
         "pc_relative_only": frozenset({AddressingMode.PC_RELATIVE}),
         "stack_relative_only": frozenset({AddressingMode.STACK_RELATIVE}),
         "register_relative_only": frozenset({AddressingMode.REG_RELATIVE}),
     }
-    geomeans: Dict[str, float] = {}
     for name, modes in categories.items():
-        runner.run_config(
-            name, constable_config(
-                constable=constable_engine_config(eliminate_addressing_modes=modes)))
-        geomeans[name] = runner.geomean_speedup(name)
-    runner.run_config("all_loads", constable_config())
-    geomeans["all_loads"] = runner.geomean_speedup("all_loads")
+        configs[name] = constable_config(
+            constable=constable_engine_config(eliminate_addressing_modes=modes))
+    configs["all_loads"] = constable_config()
+    return FigurePlan("fig13", configs=configs)
+
+
+@_figure(fig13_plan)
+def fig13_load_categories(runner: Optional[ExperimentRunner] = None) -> Dict[str, object]:
+    """Fig. 13: Constable restricted to PC-/stack-/register-relative loads."""
+    runner, results = _run_plan(runner, fig13_plan())
+    geomeans = {name: runner.geomean_speedup(name)
+                for name in results if name != "baseline"}
     rows = [(name, f"{value:.3f}") for name, value in geomeans.items()]
     return {"geomean_speedups": geomeans,
             "text": format_table(["category", "speedup"], rows,
@@ -297,20 +385,25 @@ def fig13_load_categories(runner: Optional[ExperimentRunner] = None) -> Dict[str
 
 # ======================================================================= Fig 14
 
-def fig14_speedup_smt2(runner: Optional[ExperimentRunner] = None,
-                       max_pairs: Optional[int] = 4) -> Dict[str, object]:
-    """Fig. 14: SMT2 speedups of EVES, Constable and EVES+Constable."""
-    runner = runner or default_runner()
-    baseline = runner.run_smt_config("baseline", baseline_config(), max_pairs=max_pairs)
-    configs = {
+def fig14_plan(max_pairs: Optional[int] = 4) -> FigurePlan:
+    """Fig. 14: the SMT2 speedup sweep over ``max_pairs`` workload pairs."""
+    return FigurePlan("fig14", smt_configs={
+        "baseline": baseline_config(),
         "eves": eves_config(),
         "constable": constable_config(),
         "eves+constable": eves_constable_config(),
-    }
+    }, smt_max_pairs=max_pairs)
+
+
+@_figure(fig14_plan)
+def fig14_speedup_smt2(runner: Optional[ExperimentRunner] = None,
+                       max_pairs: Optional[int] = 4) -> Dict[str, object]:
+    """Fig. 14: SMT2 speedups of EVES, Constable and EVES+Constable."""
+    _, sweeps = _run_plan(runner, fig14_plan(max_pairs))
+    baseline = sweeps.pop("baseline")
     geomeans: Dict[str, float] = {}
     per_pair: Dict[str, Dict[str, float]] = {}
-    for name, config in configs.items():
-        results = runner.run_smt_config(name, config, max_pairs=max_pairs)
+    for name, results in sweeps.items():
         speedups = []
         for pair, result in results.items():
             # Degenerate tiny-trace pairs can retire in zero cycles; skip them
@@ -329,21 +422,24 @@ def fig14_speedup_smt2(runner: Optional[ExperimentRunner] = None,
 
 # ======================================================================= Fig 15
 
-def fig15_prior_works(runner: Optional[ExperimentRunner] = None) -> Dict[str, object]:
-    """Fig. 15: ELAR and RFP compared with (and combined with) Constable."""
-    runner = runner or default_runner()
-    runner.run_config("baseline", baseline_config())
-    configs = {
+def fig15_plan() -> FigurePlan:
+    """Fig. 15: prior works (ELAR, RFP) vs and with Constable."""
+    return FigurePlan("fig15", configs={
+        "baseline": baseline_config(),
         "elar": elar_config(),
         "rfp": rfp_config(),
         "constable": constable_config(),
         "elar+constable": elar_constable_config(),
         "rfp+constable": rfp_constable_config(),
-    }
-    geomeans = {}
-    for name, config in configs.items():
-        runner.run_config(name, config)
-        geomeans[name] = runner.geomean_speedup(name)
+    })
+
+
+@_figure(fig15_plan)
+def fig15_prior_works(runner: Optional[ExperimentRunner] = None) -> Dict[str, object]:
+    """Fig. 15: ELAR and RFP compared with (and combined with) Constable."""
+    runner, results = _run_plan(runner, fig15_plan())
+    geomeans = {name: runner.geomean_speedup(name)
+                for name in results if name != "baseline"}
     rows = [(name, f"{value:.3f}") for name, value in geomeans.items()]
     return {"geomean_speedups": geomeans,
             "text": format_table(["config", "speedup"], rows,
@@ -352,14 +448,24 @@ def fig15_prior_works(runner: Optional[ExperimentRunner] = None) -> Dict[str, ob
 
 # ======================================================================= Fig 16
 
+def fig16_plan() -> FigurePlan:
+    """Fig. 16: load coverage."""
+    return FigurePlan("fig16", configs={
+        "eves": eves_config(),
+        "constable": constable_config(),
+        "eves+constable": eves_constable_config(),
+        "eves+ideal_constable": _ideal_builder(IdealMode.CONSTABLE, lvp="eves"),
+    })
+
+
+@_figure(fig16_plan)
 def fig16_coverage(runner: Optional[ExperimentRunner] = None) -> Dict[str, object]:
     """Fig. 16: load coverage of EVES, Constable and their combination."""
-    runner = runner or default_runner()
-    eves = runner.run_config("eves", eves_config())
-    constable = runner.run_config("constable", constable_config())
-    combined = runner.run_config("eves+constable", eves_constable_config())
-    ideal = runner.run_config("eves+ideal_constable",
-                              _ideal_builder(IdealMode.CONSTABLE, lvp="eves"))
+    _, results = _run_plan(runner, fig16_plan())
+    eves = results["eves"]
+    constable = results["constable"]
+    combined = results["eves+constable"]
+    ideal = results["eves+ideal_constable"]
 
     def _coverage(result, include_lvp: bool, include_constable: bool) -> float:
         loads = max(1, result.stats.loads_renamed)
@@ -388,10 +494,16 @@ def fig16_coverage(runner: Optional[ExperimentRunner] = None) -> Dict[str, objec
 
 # ======================================================================= Fig 17
 
+def fig17_plan() -> FigurePlan:
+    """Fig. 17: runtime coverage of global-stable loads."""
+    return FigurePlan("fig17", configs={"constable": constable_config()})
+
+
+@_figure(fig17_plan)
 def fig17_stable_breakdown(runner: Optional[ExperimentRunner] = None) -> Dict[str, object]:
     """Fig. 17: how many global-stable loads Constable actually eliminates."""
-    runner = runner or default_runner()
-    results = runner.run_config("constable", constable_config())
+    _, plan_results = _run_plan(runner, fig17_plan())
+    results = plan_results["constable"]
     eliminated_stable = 0
     eliminated_other = 0
     stable_total = 0
@@ -413,11 +525,18 @@ def fig17_stable_breakdown(runner: Optional[ExperimentRunner] = None) -> Dict[st
 
 # ======================================================================= Fig 18
 
+def fig18_plan() -> FigurePlan:
+    """Fig. 18: RS-allocation and L1-D access reduction."""
+    return FigurePlan("fig18", configs={
+        "baseline": baseline_config(),
+        "constable": constable_config(),
+    })
+
+
+@_figure(fig18_plan)
 def fig18_resource_utilisation(runner: Optional[ExperimentRunner] = None) -> Dict[str, object]:
     """Fig. 18: reduction in RS allocations and L1-D accesses with Constable."""
-    runner = runner or default_runner()
-    runner.run_config("baseline", baseline_config())
-    runner.run_config("constable", constable_config())
+    runner, _ = _run_plan(runner, fig18_plan())
     rs_ratio = runner.metric_ratio(
         "constable", lambda r: r.resource_stats.get("rs_allocations", 0))
     l1_ratio = runner.metric_ratio(
@@ -444,15 +563,22 @@ def fig18_resource_utilisation(runner: Optional[ExperimentRunner] = None) -> Dic
 
 # ======================================================================= Fig 19
 
+def fig19_plan() -> FigurePlan:
+    """Fig. 19: core dynamic power."""
+    return FigurePlan("fig19", configs={
+        "baseline": baseline_config(),
+        "eves": eves_config(),
+        "constable": constable_config(),
+        "eves+constable": eves_constable_config(),
+    })
+
+
+@_figure(fig19_plan)
 def fig19_power(runner: Optional[ExperimentRunner] = None) -> Dict[str, object]:
     """Fig. 19: core dynamic power of EVES, Constable and EVES+Constable vs baseline."""
-    runner = runner or default_runner()
+    runner, results = _run_plan(runner, fig19_plan())
     model = CorePowerModel()
-    config_names = ["baseline", "eves", "constable", "eves+constable"]
-    runner.run_config("baseline", baseline_config())
-    runner.run_config("eves", eves_config())
-    runner.run_config("constable", constable_config())
-    runner.run_config("eves+constable", eves_constable_config())
+    config_names = list(results)
 
     totals: Dict[str, float] = {name: 0.0 for name in config_names}
     sub_units: Dict[str, Dict[str, float]] = {name: {} for name in config_names}
@@ -486,32 +612,32 @@ def fig19_power(runner: Optional[ExperimentRunner] = None) -> Dict[str, object]:
 
 # ======================================================================= Fig 20
 
+def fig20_plan(load_widths: Sequence[int] = (3, 4, 5, 6),
+               depth_scales: Sequence[float] = (1.0, 2.0, 4.0)) -> FigurePlan:
+    """Fig. 20: the load-width / pipeline-depth sensitivity grids."""
+    configs: Dict[str, ConfigLike] = {"baseline": baseline_config()}
+    for width in load_widths:
+        configs[f"baseline_w{width}"] = baseline_config().with_load_width(width)
+        configs[f"constable_w{width}"] = constable_config().with_load_width(width)
+    for scale in depth_scales:
+        configs[f"baseline_d{scale}"] = baseline_config().with_depth_scale(scale)
+        configs[f"constable_d{scale}"] = constable_config().with_depth_scale(scale)
+    return FigurePlan("fig20", configs=configs)
+
+
+@_figure(fig20_plan)
 def fig20_sensitivity(runner: Optional[ExperimentRunner] = None,
                       load_widths: Sequence[int] = (3, 4, 5, 6),
                       depth_scales: Sequence[float] = (1.0, 2.0, 4.0)) -> Dict[str, object]:
     """Fig. 20: sensitivity to load execution width and pipeline depth."""
-    runner = runner or default_runner()
-    runner.run_config("baseline", baseline_config())
-    width_results: Dict[int, Dict[str, float]] = {}
-    for width in load_widths:
-        base_name = f"baseline_w{width}"
-        cons_name = f"constable_w{width}"
-        runner.run_config(base_name, baseline_config().with_load_width(width))
-        runner.run_config(cons_name, constable_config().with_load_width(width))
-        width_results[width] = {
-            "baseline": runner.geomean_speedup(base_name),
-            "constable": runner.geomean_speedup(cons_name),
-        }
-    depth_results: Dict[float, Dict[str, float]] = {}
-    for scale in depth_scales:
-        base_name = f"baseline_d{scale}"
-        cons_name = f"constable_d{scale}"
-        runner.run_config(base_name, baseline_config().with_depth_scale(scale))
-        runner.run_config(cons_name, constable_config().with_depth_scale(scale))
-        depth_results[scale] = {
-            "baseline": runner.geomean_speedup(base_name),
-            "constable": runner.geomean_speedup(cons_name),
-        }
+    runner, _ = _run_plan(runner, fig20_plan(load_widths, depth_scales))
+
+    def _grid_point(suffix: str) -> Dict[str, float]:
+        return {"baseline": runner.geomean_speedup(f"baseline_{suffix}"),
+                "constable": runner.geomean_speedup(f"constable_{suffix}")}
+
+    width_results = {width: _grid_point(f"w{width}") for width in load_widths}
+    depth_results = {scale: _grid_point(f"d{scale}") for scale in depth_scales}
     rows = [(f"load width {w}", f"{v['baseline']:.3f}", f"{v['constable']:.3f}")
             for w, v in width_results.items()]
     rows += [(f"depth x{s}", f"{v['baseline']:.3f}", f"{v['constable']:.3f}")
@@ -523,11 +649,19 @@ def fig20_sensitivity(runner: Optional[ExperimentRunner] = None,
 
 # ======================================================================= Fig 21
 
+def fig21_plan() -> FigurePlan:
+    """Fig. 21: memory-ordering violation cost."""
+    return FigurePlan("fig21", configs={
+        "baseline": baseline_config(),
+        "constable": constable_config(),
+    })
+
+
+@_figure(fig21_plan)
 def fig21_ordering_violations(runner: Optional[ExperimentRunner] = None) -> Dict[str, object]:
     """Fig. 21: memory-ordering violations by eliminated loads and ROB allocation increase."""
-    runner = runner or default_runner()
-    runner.run_config("baseline", baseline_config())
-    results = runner.run_config("constable", constable_config())
+    runner, plan_results = _run_plan(runner, fig21_plan())
+    results = plan_results["constable"]
     violation_fractions = []
     for result in results.values():
         eliminated = max(1, int((result.constable_stats or {}).get("loads_eliminated", 0)))
@@ -554,15 +688,23 @@ def fig21_ordering_violations(runner: Optional[ExperimentRunner] = None) -> Dict
 
 # ======================================================================= Fig 22
 
+def fig22_plan() -> FigurePlan:
+    """Fig. 22: CV-bit pinning vs AMT invalidation."""
+    return FigurePlan("fig22", configs={
+        "baseline": baseline_config(),
+        "constable": constable_config(),
+        "constable_amt_i": constable_config(
+            constable=constable_engine_config(
+                amt_invalidate_on_l1_eviction=True, pin_cv_bits=False)),
+    })
+
+
+@_figure(fig22_plan)
 def fig22_amt_invalidation(runner: Optional[ExperimentRunner] = None) -> Dict[str, object]:
     """Fig. 22: CV-bit pinning vs invalidating AMT entries on every L1 eviction."""
-    runner = runner or default_runner()
-    runner.run_config("baseline", baseline_config())
-    vanilla = runner.run_config("constable", constable_config())
-    amt_i = runner.run_config(
-        "constable_amt_i",
-        constable_config(constable=constable_engine_config(
-            amt_invalidate_on_l1_eviction=True, pin_cv_bits=False)))
+    runner, results = _run_plan(runner, fig22_plan())
+    vanilla = results["constable"]
+    amt_i = results["constable_amt_i"]
     speedup_vanilla = runner.geomean_speedup("constable")
     speedup_amt_i = runner.geomean_speedup("constable_amt_i")
 
@@ -698,27 +840,6 @@ def warehouse_speedup_summary(cache_dir: Optional[str] = None
 
 # ============================================================ registries (CLI)
 
-#: Every figure harness that consumes a shared :class:`ExperimentRunner`,
-#: addressable by name from ``repro figures``; ``all`` expands to this set.
-FIGURE_HARNESSES: Dict[str, Callable[..., Dict[str, object]]] = {
-    "fig3": fig3_global_stable_characterisation,
-    "fig6": fig6_load_port_utilisation,
-    "fig7": fig7_headroom,
-    "fig9": fig9_sld_updates,
-    "fig11": fig11_speedup_nosmt,
-    "fig12": fig12_per_workload,
-    "fig13": fig13_load_categories,
-    "fig14": fig14_speedup_smt2,
-    "fig15": fig15_prior_works,
-    "fig16": fig16_coverage,
-    "fig17": fig17_stable_breakdown,
-    "fig18": fig18_resource_utilisation,
-    "fig19": fig19_power,
-    "fig20": fig20_sensitivity,
-    "fig21": fig21_ordering_violations,
-    "fig22": fig22_amt_invalidation,
-}
-
 #: Harnesses that build their own reduced runners (or none at all); they are
 #: addressable by name but excluded from ``all`` and from warm-cache checks.
 STANDALONE_HARNESSES: Dict[str, Callable[[], Dict[str, object]]] = {
@@ -729,73 +850,24 @@ STANDALONE_HARNESSES: Dict[str, Callable[[], Dict[str, object]]] = {
 }
 
 
-def sweep_configs() -> Dict[str, ConfigLike]:
-    """The single-thread configurations ``repro sweep`` runs by default.
-
-    Covers every configuration the main-result harnesses (figs. 11, 12, 15
-    and 16) consume, so a sweep warmed into a cache directory lets those
-    figures regenerate without a single simulation.
-    """
-    return {
-        "baseline": baseline_config(),
-        "eves": eves_config(),
-        "constable": constable_config(),
-        "eves+constable": eves_constable_config(),
-        "eves+ideal_constable": _ideal_builder(IdealMode.CONSTABLE, lvp="eves"),
-        "elar": elar_config(),
-        "rfp": rfp_config(),
-        "elar+constable": elar_constable_config(),
-        "rfp+constable": rfp_constable_config(),
-    }
-
-
-def sweep_smt_configs() -> Dict[str, ConfigLike]:
-    """The SMT2 configurations ``repro sweep`` runs by default (fig. 14's set)."""
-    return {
-        "baseline": baseline_config(),
-        "eves": eves_config(),
-        "constable": constable_config(),
-        "eves+constable": eves_constable_config(),
-    }
-
-
-def sensitivity_sweep_configs(load_widths: Sequence[int] = (3, 4, 5, 6),
-                              depth_scales: Sequence[float] = (1.0, 2.0, 4.0)
-                              ) -> Dict[str, ConfigLike]:
-    """The sensitivity-sweep configuration families (figs. 13 and 20).
-
-    Covers every configuration :func:`fig13_load_categories` and
-    :func:`fig20_sensitivity` consume — the addressing-mode-restricted
-    Constable variants, and the load-width / pipeline-depth grids — under the
-    exact names and contents those harnesses use, so ``repro sweep --families
-    sensitivity`` warmed into a shared cache directory lets both figures
-    regenerate without a single simulation.  ``baseline`` is included because
-    every speedup in those figures is computed against it.
-    """
-    configs: Dict[str, ConfigLike] = {"baseline": baseline_config()}
-    categories = {
-        "pc_relative_only": frozenset({AddressingMode.PC_RELATIVE}),
-        "stack_relative_only": frozenset({AddressingMode.STACK_RELATIVE}),
-        "register_relative_only": frozenset({AddressingMode.REG_RELATIVE}),
-    }
-    for name, modes in categories.items():
-        configs[name] = constable_config(
-            constable=constable_engine_config(eliminate_addressing_modes=modes))
-    configs["all_loads"] = constable_config()
-    for width in load_widths:
-        configs[f"baseline_w{width}"] = baseline_config().with_load_width(width)
-        configs[f"constable_w{width}"] = constable_config().with_load_width(width)
-    for scale in depth_scales:
-        configs[f"baseline_d{scale}"] = baseline_config().with_depth_scale(scale)
-        configs[f"constable_d{scale}"] = constable_config().with_depth_scale(scale)
+def _family(*figures: str) -> Callable[[], Dict[str, ConfigLike]]:
+    """The union of ``figures``' single-thread configs, in declaration order."""
+    def configs() -> Dict[str, ConfigLike]:
+        merged: Dict[str, ConfigLike] = {}
+        for figure in figures:
+            for name, config in FIGURE_DEMANDS[figure]().configs.items():
+                merged.setdefault(name, config)
+        return merged
     return configs
 
 
-#: Named single-thread sweep families ``repro sweep --families`` selects from:
-#: ``main`` feeds the headline-result harnesses (figs. 11/12/15/16), and
-#: ``sensitivity`` feeds the fig. 13/20 sweeps.  Families may overlap (both
-#: contain ``baseline``) with identical contents, so merging them is safe.
+#: Named single-thread sweep families ``repro sweep --families`` selects from,
+#: derived from the figure declarations: ``main`` feeds the headline-result
+#: harnesses (figs. 11/12/15/16), and ``sensitivity`` the fig. 13/20 sweeps, so
+#: a family swept into a cache directory lets those figures regenerate without
+#: a single simulation.  Families may overlap (both contain ``baseline``) with
+#: identical contents, so merging them is safe.
 SWEEP_FAMILIES: Dict[str, Callable[[], Dict[str, ConfigLike]]] = {
-    "main": sweep_configs,
-    "sensitivity": sensitivity_sweep_configs,
+    "main": _family("fig11", "fig12", "fig15", "fig16"),
+    "sensitivity": _family("fig13", "fig20"),
 }

@@ -5,36 +5,37 @@ heavily: figs. 11, 12, 14, 16 and 17 all re-simulate the same
 baseline/constable configurations, fig. 20's ``baseline_w3``/``baseline_d1.0``
 grid points are content-identical to the plain baseline, and fig. 13's
 ``all_loads`` is the plain Constable configuration under another name.  Run
-back-to-back (``repro figures all``), each harness re-plans those shared
-``(config, workload)`` jobs and every ``run_config`` call is its own barrier,
-so the worker pool drains between harnesses and between configurations.
+one figure at a time, each harness's own wave re-plans those shared
+``(config, workload)`` jobs (deduplicated only within the figure), and the
+worker pool drains between harnesses.
 
 :class:`SweepOrchestrator` removes both costs while staying bit-identical to
-the serial per-figure path:
+running each figure on its own:
 
-1. **Collect** — every requested figure declares its configuration demand as a
-   :class:`FigurePlan` (the :data:`FIGURE_PLANS` registry mirrors each harness
-   in :mod:`repro.experiments.figures`; a consistency test pins the two
-   against each other).  The orchestrator merges the plans and materialises
-   jobs through the runner's existing planning hooks
+1. **Collect** — every figure harness in :mod:`repro.experiments.figures`
+   declares its configuration demand once, as a :class:`FigurePlan` that the
+   harness itself runs (``FIGURE_DEMANDS`` indexes them by figure name).  The
+   orchestrator merges the requested plans and materialises jobs through the
+   runner's planning hooks
    (:meth:`~repro.experiments.runner.ExperimentRunner.plan_jobs` /
    :meth:`~repro.experiments.runner.ExperimentRunner.plan_smt_jobs`).
 2. **Dedup** — planned jobs are grouped by *content* fingerprint (the same
    material the on-disk cache keys hash: the fully materialised
    :class:`~repro.pipeline.config.CoreConfig`, the workload spec and the trace
    parameters), so two figures demanding the same simulation under different
-   names share one job.  Each group consults the on-disk cache once.
-3. **Execute** — every outstanding representative job, single-thread and SMT
-   alike, goes through the runner's
-   :meth:`~repro.experiments.runner.ExperimentRunner._execute_wave` hook as
-   **one** batch: the parallel runner submits them all to one process pool up
-   front and awaits once, so the pool never drains between harnesses.
-4. **Commit** — each group's single result is committed under *every*
-   ``(config name, workload)`` alias that demanded it, through the exact
-   in-memory stores the serial ``run_config``/``run_smt_config`` pipeline
-   commits to.  Running the figure harnesses afterwards finds everything
-   already committed and performs **zero** simulations, so their outputs are
-   bit-identical to the serial per-figure path by construction (pinned
+   names share one job.
+3. **Execute** — every group's representative job, single-thread and SMT
+   alike, goes through the runner's execution core
+   (:meth:`~repro.experiments.runner.ExperimentRunner._run_wave`) as **one**
+   wave: staged from the on-disk cache, the rest handed to the
+   ``_execute_wave`` hook in one batch — the parallel runner submits them all
+   to one process pool up front, so the pool never drains between harnesses.
+4. **Commit** — the core commits each representative's result atomically;
+   the orchestrator then commits it under *every* other ``(config name,
+   workload)`` alias that demanded it, in the same in-memory stores.  Running
+   the figure harnesses afterwards finds everything already committed and
+   performs **zero** simulations, so their outputs are bit-identical to
+   running each figure on its own fresh runner by construction (pinned
    differentially at 1/2/4 workers in ``tests/test_orchestrator.py``).
 
 Results are pure functions of ``(config, trace)``, which is what makes the
@@ -52,44 +53,30 @@ from __future__ import annotations
 import dataclasses
 import json
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from repro.core.ideal import IdealMode
 from repro.experiments.cache import config_fingerprint, persist_dedup_stats
-from repro.experiments.configs import (
-    baseline_config,
-    constable_config,
-    constable_engine_config,
-    elar_config,
-    elar_constable_config,
-    eves_config,
-    eves_constable_config,
-    rfp_config,
-    rfp_constable_config,
-)
 from repro.experiments.runner import (
     ConfigLike,
     ExperimentRunner,
     Shard,
     SimulationJob,
     SmtJob,
-    SweepExecutionError,
 )
-from repro.isa.instruction import AddressingMode
 from repro.pipeline.smt import SmtResult
 from repro.pipeline.stats import SimulationResult
 
 
 @dataclass(frozen=True)
 class FigurePlan:
-    """One figure harness's declared configuration demand.
+    """One figure's declared configuration demand.
 
-    ``configs`` maps the exact configuration names the harness passes to
-    ``run_config`` to equivalent :data:`ConfigLike` values; ``smt_configs``
-    does the same for ``run_smt_config`` with ``smt_max_pairs`` as the
-    harness's pair budget (None = the full pair list).  A harness that only
-    consumes workload traces and Load Inspector reports (fig. 3) declares an
-    empty plan — the orchestrator still generates its workloads.
+    ``configs`` maps each single-thread configuration name the figure reads to
+    its :data:`ConfigLike`; ``smt_configs`` does the same for SMT2 pair
+    sweeps, with ``smt_max_pairs`` as the figure's pair budget (None = the
+    full pair list).  A figure that only consumes workload traces and Load
+    Inspector reports (fig. 3) declares an empty plan — the wave still
+    generates its workloads.
     """
 
     figure: str
@@ -188,10 +175,12 @@ class SweepOrchestrator:
     """Plans, dedups and executes many figures' sweeps as one wave.
 
     The orchestrator owns no execution machinery of its own: planning goes
-    through the runner's ``plan_jobs``/``plan_smt_jobs`` hooks, execution
-    through its ``_execute_wave`` hook and commits through the same in-memory
-    stores the serial pipeline uses, so serial and parallel runners (and any
-    future runner subclass) orchestrate without modification.
+    through the runner's ``plan_jobs``/``plan_smt_jobs`` and execution and
+    commit through its ``_run_wave`` core — the same path every
+    ``run_config`` takes — so serial and parallel runners (and any future
+    runner subclass) orchestrate without modification.  What it adds is
+    merging the plans, deduplicating jobs by content, committing each shared
+    result under every alias, and the dedup ledger.
     """
 
     def __init__(self, runner: ExperimentRunner):
@@ -203,7 +192,7 @@ class SweepOrchestrator:
 
     def _merge_plans(self, plans: Sequence[FigurePlan], shard: Optional[Shard]
                      ) -> Tuple[Dict[str, ConfigLike],
-                                Dict[str, Tuple[ConfigLike, Optional[int], bool]],
+                                Dict[str, Tuple[ConfigLike, Optional[int]]],
                                 DedupStats]:
         """Merge per-figure demand into unique config names + demand stats.
 
@@ -218,9 +207,7 @@ class SweepOrchestrator:
         """
         runner = self.runner
         stats = DedupStats(figures=[plan.figure for plan in plans])
-        workload_names = list(runner.workloads())
-        if shard is not None:
-            workload_names = shard.select(workload_names)
+        workload_count = len(runner._owned_workloads(shard))
         fingerprints: Dict[str, str] = {}
 
         def _content(config: ConfigLike) -> str:
@@ -243,9 +230,9 @@ class SweepOrchestrator:
                     f"them — a shared name must mean one configuration")
 
         merged: Dict[str, ConfigLike] = {}
-        merged_smt: Dict[str, Tuple[ConfigLike, Optional[int], bool]] = {}
+        merged_smt: Dict[str, Tuple[ConfigLike, Optional[int]]] = {}
         for plan in plans:
-            stats.planned += len(plan.configs) * len(workload_names)
+            stats.planned += len(plan.configs) * workload_count
             for name, config in plan.configs.items():
                 if name in merged:
                     _check_collision("single-thread", name, merged[name],
@@ -253,58 +240,44 @@ class SweepOrchestrator:
                 else:
                     merged[name] = config
             if plan.smt_configs:
-                pairs = runner.smt_pairs(plan.smt_max_pairs)
-                if shard is not None:
-                    owned = set(shard.select(pairs))
-                    pairs = [pair for pair in pairs if pair in owned]
+                pairs = runner.smt_pairs(plan.smt_max_pairs, shard)
                 stats.planned += len(plan.smt_configs) * len(pairs)
-                for name, config in plan.smt_configs.items():
-                    previous = merged_smt.get(name)
-                    if previous is None:
-                        merged_smt[name] = (config, plan.smt_max_pairs,
-                                            plan.smt_max_pairs is None)
-                    else:
-                        _check_collision("SMT", name, previous[0], config,
-                                         plan.figure)
-                        _, bound, unbounded = previous
-                        unbounded = unbounded or plan.smt_max_pairs is None
-                        if not unbounded:
-                            bound = max(bound, plan.smt_max_pairs)
-                        merged_smt[name] = (previous[0], bound, unbounded)
+            for name, config in plan.smt_configs.items():
+                if name not in merged_smt:
+                    merged_smt[name] = (config, plan.smt_max_pairs)
+                    continue
+                first, bound = merged_smt[name]
+                _check_collision("SMT", name, first, config, plan.figure)
+                if bound is not None:
+                    bound = (None if plan.smt_max_pairs is None
+                             else max(bound, plan.smt_max_pairs))
+                merged_smt[name] = (first, bound)
         return merged, merged_smt, stats
 
     # --------------------------------------------------------------- execution
 
-    def _journal_partial_wave(self, error: SweepExecutionError,
-                              outstanding_sim: Sequence[Tuple[str, SimulationJob]],
-                              outstanding_smt: Sequence[Tuple[str, SmtJob]]
-                              ) -> None:
-        """Best-effort cache journal of a failed wave's completed jobs.
-
-        The puts below also append each journaled entry's columnar warehouse
-        row (inside ``cache.put``/``put_smt``), so after a chaos-faulted wave
-        the warehouse lists exactly the journaled jobs — which is what lets
-        ``repro warehouse verify`` assert journal agreement before and after
-        a ``--resume``.
-        """
+    def _commit_aliases(self, sim_groups: Dict[str, List[SimulationJob]],
+                        smt_groups: Dict[str, List[SmtJob]]) -> None:
+        """Commit each committed representative's result under its aliases."""
         runner = self.runner
-        if runner.cache is None or not isinstance(error.partial, tuple):
-            return
-        partial_sim, partial_smt = error.partial
-        for _, job in outstanding_sim:
-            result = partial_sim.get((job.config_name, job.workload))
-            if result is not None and job.cache_key is not None:
-                try:
-                    runner.cache.put(job.cache_key, result)
-                except OSError:
-                    pass
-        for _, job in outstanding_smt:
-            result = partial_smt.get((job.config_name, job.pair))
-            if result is not None and job.cache_key is not None:
-                try:
-                    runner.cache.put_smt(job.cache_key, result)
-                except OSError:
-                    pass
+        workloads = runner.workloads()
+        for representative, *aliases in sim_groups.values():
+            result = workloads[representative.workload].results.get(
+                representative.config_name)
+            if result is None:
+                continue
+            for job in aliases:
+                workloads[job.workload].results[job.config_name] = \
+                    _relabelled(result, job.config_name)
+        for representative, *aliases in smt_groups.values():
+            smt_result = runner._smt_results.get(
+                representative.config_name, {}).get(representative.pair)
+            if smt_result is None:
+                continue
+            for smt_job in aliases:
+                runner._smt_results.setdefault(smt_job.config_name, {})[
+                    smt_job.pair] = _relabelled_smt(smt_result,
+                                                    smt_job.config_name)
 
     def execute(self, plans: Sequence[FigurePlan],
                 shard: Optional[Shard] = None) -> DedupStats:
@@ -315,322 +288,66 @@ class SweepOrchestrator:
         runner's stores, so running the corresponding figure harnesses
         performs zero simulations.  The commit is atomic in the same sense as
         ``run_config``: a failure anywhere in the wave leaves every store
-        untouched.
+        untouched, and the wave's successes are journaled to the on-disk
+        cache so a rerun (``repro sweep --resume``) executes only the
+        missing jobs.
         """
         runner = self.runner
         merged, merged_smt, stats = self._merge_plans(plans, shard)
-        selected: Optional[List[str]] = None
-        if shard is not None:
-            selected = shard.select(list(runner.workloads()))
 
         # Plan per unique config name, then group planned jobs by content.
         sim_groups: Dict[str, List[SimulationJob]] = {}
         for name, config in merged.items():
-            for job in runner.plan_jobs(name, config, workload_names=selected):
+            for job in runner.plan_jobs(name, config, shard):
                 sim_groups.setdefault(_sim_identity(job), []).append(job)
         smt_groups: Dict[str, List[SmtJob]] = {}
-        for name, (config, bound, unbounded) in merged_smt.items():
-            max_pairs = None if unbounded else bound
-            pairs = runner.smt_pairs(max_pairs)
-            if shard is not None:
-                owned = set(shard.select(pairs))
-                pairs = [pair for pair in pairs if pair in owned]
-            owned_pairs = set(pairs)
-            for job in runner.plan_smt_jobs(name, config, max_pairs):
-                if job.pair not in owned_pairs:
-                    continue
-                smt_groups.setdefault(_smt_identity(job), []).append(job)
-        stats.unique = len(sim_groups) + len(smt_groups)
+        for name, (config, max_pairs) in merged_smt.items():
+            for smt_job in runner.plan_smt_jobs(name, config, max_pairs, shard):
+                smt_groups.setdefault(_smt_identity(smt_job), []).append(smt_job)
 
-        # Stage each group's representative from the on-disk cache once.
-        staged_sim: Dict[str, SimulationResult] = {}
-        outstanding_sim: List[Tuple[str, SimulationJob]] = []
-        for identity, group in sim_groups.items():
-            representative = group[0]
-            cached = (runner.cache.get(representative.cache_key)
-                      if representative.cache_key is not None else None)
-            if cached is not None:
-                staged_sim[identity] = cached
-            else:
-                outstanding_sim.append((identity, representative))
-        staged_smt: Dict[str, SmtResult] = {}
-        outstanding_smt: List[Tuple[str, SmtJob]] = []
-        for identity, group in smt_groups.items():
-            representative = group[0]
-            cached = (runner.cache.get_smt(representative.cache_key)
-                      if representative.cache_key is not None else None)
-            if cached is not None:
-                staged_smt[identity] = cached
-            else:
-                outstanding_smt.append((identity, representative))
-        stats.cache_warm = len(staged_sim) + len(staged_smt)
-        stats.executed = len(outstanding_sim) + len(outstanding_smt)
-        stats.cold_jobs = (
-            [f"{job.config_name}/{job.workload}" for _, job in outstanding_sim]
-            + [f"smt:{job.config_name}/{'+'.join(job.pair)}"
-               for _, job in outstanding_smt])
-
-        # One continuously fed wave over every outstanding representative.
+        # One continuously fed wave over every group's representative.
         try:
-            sim_results, smt_results = runner._execute_wave(
-                [job for _, job in outstanding_sim],
-                [job for _, job in outstanding_smt])
-        except SweepExecutionError as error:
-            # Partial-wave commit: journal the failed wave's successes to the
-            # on-disk cache (never the in-memory stores — the atomic-commit
-            # contract of `execute` holds), so the content-addressed cache
-            # doubles as the resume journal and a rerun (`repro sweep
-            # --resume`) stages them warm and executes only the missing jobs.
-            self._journal_partial_wave(error, outstanding_sim, outstanding_smt)
-            raise
-        missing: List[str] = []
-        for identity, job in outstanding_sim:
-            result = sim_results.get((job.config_name, job.workload))
-            if result is None:
-                missing.append(f"{job.config_name}/{job.workload}")
-            else:
-                staged_sim[identity] = result
-        for identity, job in outstanding_smt:
-            result = smt_results.get((job.config_name, job.pair))
-            if result is None:
-                missing.append(f"smt:{job.config_name}/{'+'.join(job.pair)}")
-            else:
-                staged_smt[identity] = result
-        if missing:
-            raise RuntimeError(
-                f"wave executor returned no result for jobs {missing!r}")
-
-        # Commit every alias only after the whole wave succeeded — and before
-        # the disk-store writes, so a cache I/O failure cannot discard the
-        # finished wave (same ordering contract as run_config).
-        workloads = runner.workloads()
-        for identity, group in sim_groups.items():
-            result = staged_sim[identity]
-            for job in group:
-                workloads[job.workload].results[job.config_name] = \
-                    _relabelled(result, job.config_name)
-        for identity, group in smt_groups.items():
-            result = staged_smt[identity]
-            for job in group:
-                runner._smt_results.setdefault(job.config_name, {})[job.pair] = \
-                    _relabelled_smt(result, job.config_name)
-        if runner.cache is not None:
-            for identity, job in outstanding_sim:
-                if job.cache_key is not None:
-                    runner.cache.put(job.cache_key, staged_sim[identity])
-            for identity, job in outstanding_smt:
-                if job.cache_key is not None:
-                    runner.cache.put_smt(job.cache_key, staged_smt[identity])
+            executed, executed_smt = runner._run_wave(
+                [group[0] for group in sim_groups.values()],
+                [group[0] for group in smt_groups.values()])
+        finally:
+            # The core commits in memory before its disk writes, so even a
+            # write failing (disk full) must not cost the aliases their
+            # results; a failed wave committed nothing, so nothing aliases.
+            self._commit_aliases(sim_groups, smt_groups)
+        stats.unique = len(sim_groups) + len(smt_groups)
+        stats.executed = len(executed) + len(executed_smt)
+        stats.cache_warm = stats.unique - stats.executed
+        stats.cold_jobs = (
+            [f"{job.config_name}/{job.workload}" for job in executed]
+            + [f"smt:{job.config_name}/{'+'.join(job.pair)}"
+               for job in executed_smt])
+        if runner.cache is not None and stats.unique:
             # Stream this wave's dedup accounting into the cache directory's
             # counter ledger so `repro cache stats` reports cross-host
-            # planned/unique/cache-warm dedup rates alongside hit rates.
+            # planned/unique/cache-warm dedup rates alongside hit rates.  A
+            # wave whose demand was already committed in memory planned
+            # nothing and records nothing.
             persist_dedup_stats(runner.cache.directory, stats.to_dict())
         self.stats = stats
         return stats
-
-
-# ----------------------------------------------------------- figure plan registry
-
-def _ideal_builder(mode: IdealMode, lvp: Optional[str] = None):
-    """Mirror of the figure harnesses' oracle-driven config builder."""
-    from repro.experiments.figures import _ideal_builder as harness_builder
-    return harness_builder(mode, lvp)
-
-
-def _plan_fig3() -> FigurePlan:
-    """Fig. 3 consumes only traces and Load Inspector reports."""
-    return FigurePlan("fig3")
-
-
-def _plan_fig6() -> FigurePlan:
-    """Fig. 6: load-port utilisation under baseline + EVES."""
-    return FigurePlan("fig6", configs={"baseline+eves": eves_config()})
-
-
-def _plan_fig7() -> FigurePlan:
-    """Fig. 7: ideal-mechanism headroom sweeps."""
-    return FigurePlan("fig7", configs={
-        "baseline": baseline_config(),
-        "ideal_stable_lvp": _ideal_builder(IdealMode.STABLE_LVP),
-        "ideal_stable_lvp_fetch_elim":
-            _ideal_builder(IdealMode.STABLE_LVP_FETCH_ELIM),
-        "2x_load_width": baseline_config().with_load_width(6),
-        "ideal_constable": _ideal_builder(IdealMode.CONSTABLE),
-    })
-
-
-def _plan_fig9() -> FigurePlan:
-    """Fig. 9: SLD update rate and wrong-path sensitivity."""
-    return FigurePlan("fig9", configs={
-        "baseline": baseline_config(),
-        "constable": constable_config(),
-        "constable_wrong_path": constable_config(
-            constable=constable_engine_config(wrong_path_updates=True)),
-    })
-
-
-def _plan_fig11() -> FigurePlan:
-    """Fig. 11: the headline noSMT speedup sweep."""
-    return FigurePlan("fig11", configs={
-        "baseline": baseline_config(),
-        "eves": eves_config(),
-        "constable": constable_config(),
-        "eves+constable": eves_constable_config(),
-        "eves+ideal_constable": _ideal_builder(IdealMode.CONSTABLE, lvp="eves"),
-    })
-
-
-def _plan_fig12() -> FigurePlan:
-    """Fig. 12: per-workload speedups (subset of fig. 11's configs)."""
-    return FigurePlan("fig12", configs={
-        "baseline": baseline_config(),
-        "eves": eves_config(),
-        "constable": constable_config(),
-        "eves+constable": eves_constable_config(),
-    })
-
-
-def _plan_fig13() -> FigurePlan:
-    """Fig. 13: Constable restricted to single addressing-mode categories."""
-    configs: Dict[str, ConfigLike] = {"baseline": baseline_config()}
-    categories = {
-        "pc_relative_only": frozenset({AddressingMode.PC_RELATIVE}),
-        "stack_relative_only": frozenset({AddressingMode.STACK_RELATIVE}),
-        "register_relative_only": frozenset({AddressingMode.REG_RELATIVE}),
-    }
-    for name, modes in categories.items():
-        configs[name] = constable_config(
-            constable=constable_engine_config(eliminate_addressing_modes=modes))
-    configs["all_loads"] = constable_config()
-    return FigurePlan("fig13", configs=configs)
-
-
-def _plan_fig14() -> FigurePlan:
-    """Fig. 14: the SMT2 speedup sweep (harness default pair budget)."""
-    return FigurePlan("fig14", smt_configs={
-        "baseline": baseline_config(),
-        "eves": eves_config(),
-        "constable": constable_config(),
-        "eves+constable": eves_constable_config(),
-    }, smt_max_pairs=4)
-
-
-def _plan_fig15() -> FigurePlan:
-    """Fig. 15: prior works (ELAR, RFP) vs and with Constable."""
-    return FigurePlan("fig15", configs={
-        "baseline": baseline_config(),
-        "elar": elar_config(),
-        "rfp": rfp_config(),
-        "constable": constable_config(),
-        "elar+constable": elar_constable_config(),
-        "rfp+constable": rfp_constable_config(),
-    })
-
-
-def _plan_fig16() -> FigurePlan:
-    """Fig. 16: load coverage."""
-    return FigurePlan("fig16", configs={
-        "eves": eves_config(),
-        "constable": constable_config(),
-        "eves+constable": eves_constable_config(),
-        "eves+ideal_constable": _ideal_builder(IdealMode.CONSTABLE, lvp="eves"),
-    })
-
-
-def _plan_fig17() -> FigurePlan:
-    """Fig. 17: runtime coverage of global-stable loads."""
-    return FigurePlan("fig17", configs={"constable": constable_config()})
-
-
-def _plan_fig18() -> FigurePlan:
-    """Fig. 18: RS-allocation and L1-D access reduction."""
-    return FigurePlan("fig18", configs={
-        "baseline": baseline_config(),
-        "constable": constable_config(),
-    })
-
-
-def _plan_fig19() -> FigurePlan:
-    """Fig. 19: core dynamic power."""
-    return FigurePlan("fig19", configs={
-        "baseline": baseline_config(),
-        "eves": eves_config(),
-        "constable": constable_config(),
-        "eves+constable": eves_constable_config(),
-    })
-
-
-def _plan_fig20(load_widths: Sequence[int] = (3, 4, 5, 6),
-                depth_scales: Sequence[float] = (1.0, 2.0, 4.0)) -> FigurePlan:
-    """Fig. 20: the load-width / pipeline-depth sensitivity grids."""
-    configs: Dict[str, ConfigLike] = {"baseline": baseline_config()}
-    for width in load_widths:
-        configs[f"baseline_w{width}"] = baseline_config().with_load_width(width)
-        configs[f"constable_w{width}"] = constable_config().with_load_width(width)
-    for scale in depth_scales:
-        configs[f"baseline_d{scale}"] = baseline_config().with_depth_scale(scale)
-        configs[f"constable_d{scale}"] = constable_config().with_depth_scale(scale)
-    return FigurePlan("fig20", configs=configs)
-
-
-def _plan_fig21() -> FigurePlan:
-    """Fig. 21: memory-ordering violation cost."""
-    return FigurePlan("fig21", configs={
-        "baseline": baseline_config(),
-        "constable": constable_config(),
-    })
-
-
-def _plan_fig22() -> FigurePlan:
-    """Fig. 22: CV-bit pinning vs AMT invalidation."""
-    return FigurePlan("fig22", configs={
-        "baseline": baseline_config(),
-        "constable": constable_config(),
-        "constable_amt_i": constable_config(
-            constable=constable_engine_config(
-                amt_invalidate_on_l1_eviction=True, pin_cv_bits=False)),
-    })
-
-
-#: Plan factory per orchestratable figure harness.  Keys mirror
-#: :data:`repro.experiments.figures.FIGURE_HARNESSES` exactly; the
-#: plan/harness consistency test in ``tests/test_orchestrator.py`` asserts
-#: both that the key sets match and that a harness run after its own plan's
-#: wave performs zero simulations (i.e. the plan covers the harness fully).
-FIGURE_PLANS: Dict[str, Callable[[], FigurePlan]] = {
-    "fig3": _plan_fig3,
-    "fig6": _plan_fig6,
-    "fig7": _plan_fig7,
-    "fig9": _plan_fig9,
-    "fig11": _plan_fig11,
-    "fig12": _plan_fig12,
-    "fig13": _plan_fig13,
-    "fig14": _plan_fig14,
-    "fig15": _plan_fig15,
-    "fig16": _plan_fig16,
-    "fig17": _plan_fig17,
-    "fig18": _plan_fig18,
-    "fig19": _plan_fig19,
-    "fig20": _plan_fig20,
-    "fig21": _plan_fig21,
-    "fig22": _plan_fig22,
-}
 
 
 def orchestrate_figures(runner: ExperimentRunner, names: Sequence[str]
                         ) -> Tuple[Dict[str, Dict[str, object]], DedupStats]:
     """Run the named figure harnesses through one orchestrated wave.
 
-    Plans are collected for every name present in :data:`FIGURE_PLANS`,
-    deduped and executed as a single wave; the harnesses then run against the
-    warmed runner (zero simulations) in the order given.  Names without a plan
-    (standalone harnesses) are skipped here — callers dispatch those
-    separately.  Returns ``(results by figure name, dedup stats)``.
+    The declared demand of every name in
+    :data:`~repro.experiments.figures.FIGURE_DEMANDS` is merged, deduped and
+    executed as a single wave; the harnesses then run against the warmed
+    runner (zero simulations) in the order given.  Names without a
+    declaration (standalone harnesses) are skipped here — callers dispatch
+    those separately.  Returns ``(results by figure name, dedup stats)``.
     """
-    from repro.experiments.figures import FIGURE_HARNESSES
+    from repro.experiments.figures import FIGURE_DEMANDS, FIGURE_HARNESSES
 
-    planned_names = [name for name in names if name in FIGURE_PLANS]
+    planned_names = [name for name in names if name in FIGURE_DEMANDS]
     orchestrator = SweepOrchestrator(runner)
-    stats = orchestrator.execute([FIGURE_PLANS[name]() for name in planned_names])
+    stats = orchestrator.execute([FIGURE_DEMANDS[name]() for name in planned_names])
     results = {name: FIGURE_HARNESSES[name](runner) for name in planned_names}
     return results, stats

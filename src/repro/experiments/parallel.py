@@ -2,12 +2,12 @@
 
 :class:`ParallelExperimentRunner` reuses the whole planning/aggregation core of
 :class:`~repro.experiments.runner.ExperimentRunner` and overrides only its
-execution hooks:
+two execution hooks:
 
-* ``_execute_jobs`` — outstanding (workload, configuration) simulations are
-  sharded across ``max_workers`` OS processes,
-* ``_execute_smt_jobs`` — SMT2 pair simulations shard the same way; workers
-  regenerate both threads' traces (the second at its distinct base PC),
+* ``_execute_wave`` — every outstanding job of a wave, single-thread and SMT2
+  alike and across any number of configurations, is submitted to one pool of
+  ``max_workers`` OS processes; SMT workers regenerate both threads' traces
+  (the second at its distinct base PC),
 * ``_generate_workloads`` — cold-start trace synthesis plus Load Inspector
   analysis shards across the pool too, so even the first run of a sweep
   scales with the core count.
@@ -20,10 +20,10 @@ Determinism guarantees (enforced by ``tests/test_parallel_determinism.py``):
   trace is therefore bit-identical in every worker and to the parent's copy,
   regardless of worker count or how jobs land on shards.
 * **Order-independent merge.**  Results are merged into dictionaries keyed by
-  workload name (or SMT pair) as futures complete; since each key appears in
-  at most one job per sweep, completion order cannot change the merged value,
-  and downstream aggregation (speedups, geomeans) iterates over the runner's
-  workload order, never shard order.
+  ``(config, workload)`` (or ``(config, pair)``) as futures complete; since
+  each key appears in at most one job per wave, completion order cannot
+  change the merged value, and downstream aggregation (speedups, geomeans)
+  iterates over the runner's workload order, never shard order.
 * **Deterministic sharding.**  Jobs are submitted in sorted key order so a
   fixed worker count also yields a reproducible shard assignment.
 
@@ -43,6 +43,9 @@ optional per-attempt wall timeout, rebuilds the pool when a dying worker
 breaks it (``BrokenProcessPool``), validates every returned value (corrupted
 results are retried, never merged) and, once the pool budget is exhausted,
 degrades the job to one in-process serial attempt before dead-lettering it.
+A deterministic model error (:data:`NON_RETRYABLE_ERRORS`, e.g. the golden
+check firing) reproduces on every attempt, so it skips the retries and the
+fallback and dead-letters after its first attempt.
 Dead letters raise :class:`~repro.experiments.runner.SweepExecutionError`
 carrying the wave's successes, which the commit layer journals to the on-disk
 cache so a rerun executes only the missing jobs.  Simulation payloads are pure
@@ -85,7 +88,7 @@ from repro.experiments.runner import (
     smt_job_label,
 )
 from repro.pipeline.config import CoreConfig
-from repro.pipeline.cpu import OutOfOrderCore
+from repro.pipeline.cpu import GoldenCheckError, OutOfOrderCore
 from repro.pipeline.smt import SmtResult, simulate_smt_pair
 from repro.pipeline.stats import SimulationResult
 from repro.workloads.generator import DEFAULT_BASE_PC, generate_trace
@@ -100,6 +103,11 @@ JOB_TIMEOUT_ENV = "REPRO_JOB_TIMEOUT"
 
 #: Pool retry budget when neither the parameter nor the env var is given.
 DEFAULT_MAX_RETRIES = 2
+
+#: Payload errors that are deterministic model errors, not infrastructure
+#: faults: the same job fails the same way on every attempt, in the pool or
+#: in-process, so it is dead-lettered at once instead of retried.
+NON_RETRYABLE_ERRORS = (GoldenCheckError,)
 
 #: How long the supervisor's wait() poll lasts between bookkeeping passes.
 _SUPERVISOR_POLL_SECONDS = 0.05
@@ -165,25 +173,29 @@ def _regenerate_trace(spec_dict: Dict[str, object], instructions: int,
     return trace
 
 
-def simulate_job_payload(payload: Tuple[str, Dict[str, object], int, int, CoreConfig]
-                         ) -> Tuple[str, SimulationResult]:
-    """Worker entry point: regenerate the trace, simulate, return (workload, result).
+def simulate_keyed_job_payload(payload: Tuple[str, Dict[str, object], int, int, CoreConfig]
+                               ) -> Tuple[str, Tuple[str, str], SimulationResult]:
+    """Worker entry point: regenerate the trace and simulate one job.
 
-    Module-level (not a closure) so it pickles under every start method.
+    Returns ``("sim", (config_name, workload), result)``: keyed by config as
+    well as workload, so one wave may carry jobs for many configurations
+    without the keys colliding.  Module-level (not a closure) so it pickles
+    under every start method.
     """
     config_name, spec_dict, instructions, num_registers, config = payload
     trace = _regenerate_trace(spec_dict, instructions, num_registers)
     core = OutOfOrderCore(config, [trace], name=config_name)
-    return str(spec_dict["name"]), core.run()
+    return "sim", (config_name, str(spec_dict["name"])), core.run()
 
 
-def simulate_smt_job_payload(
+def simulate_keyed_smt_job_payload(
         payload: Tuple[str, Dict[str, object], Dict[str, object], int, int, int, CoreConfig]
-) -> Tuple[Tuple[str, str], SmtResult]:
+) -> Tuple[str, Tuple[str, Tuple[str, str]], SmtResult]:
     """Worker entry point for one SMT2 pair: regenerate both traces, simulate.
 
-    The second thread's trace is regenerated at its own base PC (and memoised
-    under that PC), exactly matching the serial executor's behaviour.
+    Returns ``("smt", (config_name, pair), result)``.  The second thread's
+    trace is regenerated at its own base PC (and memoised under that PC),
+    exactly matching the serial executor's behaviour.
     """
     (config_name, first_dict, second_dict, instructions, num_registers,
      second_base_pc, config) = payload
@@ -191,25 +203,8 @@ def simulate_smt_job_payload(
     second_trace = _regenerate_trace(second_dict, instructions, num_registers,
                                      base_pc=second_base_pc)
     result = simulate_smt_pair(first_trace, second_trace, config, name=config_name)
-    return (str(first_dict["name"]), str(second_dict["name"])), result
-
-
-def simulate_keyed_job_payload(payload: Tuple[str, Dict[str, object], int, int, CoreConfig]
-                               ) -> Tuple[str, Tuple[str, str], SimulationResult]:
-    """Worker entry point for wave execution: like :func:`simulate_job_payload`
-    but tagged and keyed by ``(config_name, workload)``, so one wave may carry
-    jobs for many configurations without the merged keys colliding."""
-    workload, result = simulate_job_payload(payload)
-    return "sim", (payload[0], workload), result
-
-
-def simulate_keyed_smt_job_payload(
-        payload: Tuple[str, Dict[str, object], Dict[str, object], int, int, int, CoreConfig]
-) -> Tuple[str, Tuple[str, Tuple[str, str]], SmtResult]:
-    """Worker entry point for wave execution of one SMT2 pair, keyed by
-    ``(config_name, pair)`` (see :func:`simulate_keyed_job_payload`)."""
-    pair, result = simulate_smt_job_payload(payload)
-    return "smt", (payload[0], pair), result
+    pair = (str(first_dict["name"]), str(second_dict["name"]))
+    return "smt", (config_name, pair), result
 
 
 def generate_workload_payload(payload: Tuple[Dict[str, object], int, int, bool]
@@ -237,21 +232,25 @@ class JobExecutionError(RuntimeError):
     (``label`` is ``sim:<config>/<workload>`` etc.) and *why*
     (``remote_traceback`` is the fully formatted worker-side traceback —
     exception objects lose their traceback in pickling, text does not).
+    ``retryable`` is False for :data:`NON_RETRYABLE_ERRORS`.
     """
 
-    def __init__(self, label: str, attempt: int, remote_traceback: str):
+    def __init__(self, label: str, attempt: int, remote_traceback: str,
+                 retryable: bool = True):
         last_line = remote_traceback.strip().splitlines()[-1] \
             if remote_traceback.strip() else "unknown error"
         super().__init__(f"job {label} failed on attempt {attempt}: {last_line}")
         self.label = label
         self.attempt = attempt
         self.remote_traceback = remote_traceback
+        self.retryable = retryable
 
     def __reduce__(self):
         # Multi-argument exception __init__ breaks default unpickling; spell
         # the reconstruction out so the error survives the trip home.
         return (JobExecutionError,
-                (self.label, self.attempt, self.remote_traceback))
+                (self.label, self.attempt, self.remote_traceback,
+                 self.retryable))
 
 
 def run_supervised(fn: Callable[[object], object], payload: object,
@@ -266,8 +265,10 @@ def run_supervised(fn: Callable[[object], object], payload: object,
     maybe_inject(label, attempt)
     try:
         result = fn(payload)
-    except Exception:
-        raise JobExecutionError(label, attempt, traceback.format_exc()) from None
+    except Exception as error:
+        raise JobExecutionError(
+            label, attempt, traceback.format_exc(),
+            retryable=not isinstance(error, NON_RETRYABLE_ERRORS)) from None
     return corrupt_result(label, attempt, result)
 
 
@@ -447,6 +448,8 @@ class ParallelExperimentRunner(ExperimentRunner):
           the task retries with exponential backoff while its budget
           (``1 + max_retries`` pool attempts) lasts, then degrades to one
           in-process attempt, then dead-letters;
+        * a non-retryable payload error (a deterministic model error)
+          dead-letters at once, with neither retries nor the fallback;
         * a cancelled future never ran (pool rebuild collateral), so its
           attempt is refunded and the task requeues immediately;
         * an attempt exceeding ``job_timeout`` is abandoned — and if it cannot
@@ -466,11 +469,13 @@ class ParallelExperimentRunner(ExperimentRunner):
         pending: Dict[Future, _SupervisedTask] = {}
 
         def fail(task: _SupervisedTask, error_text: str,
-                 timed_out: bool = False) -> None:
+                 timed_out: bool = False, retryable: bool = True) -> None:
             task.last_error = error_text
             if timed_out:
                 health.timeouts += 1
-            if task.attempts < budget:
+            if not retryable:
+                dead.append(DeadLetter(task.label, task.attempts, error_text))
+            elif task.attempts < budget:
                 health.retries += 1
                 task.not_before = (time.monotonic() + self.retry_backoff_seconds
                                    * (2 ** (task.attempts - 1)))
@@ -513,7 +518,8 @@ class ParallelExperimentRunner(ExperimentRunner):
                     ready.append(task)
                     continue
                 except JobExecutionError as error:
-                    fail(task, error.remote_traceback)
+                    fail(task, error.remote_traceback,
+                         retryable=error.retryable)
                     continue
                 except BrokenExecutor:
                     fail(task, f"worker process died while {task.label} was "
@@ -566,67 +572,6 @@ class ParallelExperimentRunner(ExperimentRunner):
 
     # ---------------------------------------------------------------- execution
 
-    @staticmethod
-    def _sim_validator(workload: str) -> Callable[[object], bool]:
-        def validate(value: object) -> bool:
-            return (isinstance(value, tuple) and len(value) == 2
-                    and value[0] == workload
-                    and isinstance(value[1], SimulationResult))
-        return validate
-
-    @staticmethod
-    def _smt_validator(pair: Tuple[str, str]) -> Callable[[object], bool]:
-        def validate(value: object) -> bool:
-            return (isinstance(value, tuple) and len(value) == 2
-                    and value[0] == tuple(pair)
-                    and isinstance(value[1], SmtResult))
-        return validate
-
-    def _execute_jobs(self, jobs: Sequence[SimulationJob]) -> Dict[str, SimulationResult]:
-        """Shard ``jobs`` across the pool and merge keyed by workload name."""
-        if len(jobs) <= 1 or self.max_workers == 1:
-            return super()._execute_jobs(jobs)
-        tasks = []
-        for job in sorted(jobs, key=lambda job: job.workload):
-            payload = (job.config_name, job.run.spec.to_dict(),
-                       self.instructions, self.num_registers, job.config)
-            tasks.append(_SupervisedTask(
-                fn=simulate_job_payload, payload=payload,
-                label=sim_job_label(job),
-                validate=self._sim_validator(job.workload)))
-        try:
-            raw = self._supervise(tasks)
-        except SweepExecutionError as error:
-            error.partial = dict(self._partial_successes(error))
-            raise
-        return dict(raw)
-
-    def _execute_smt_jobs(self, jobs: Sequence[SmtJob]
-                          ) -> Dict[Tuple[str, str], SmtResult]:
-        """Shard SMT pair simulations across the pool, merged keyed by pair."""
-        if len(jobs) <= 1 or self.max_workers == 1:
-            return super()._execute_smt_jobs(jobs)
-        tasks = []
-        for job in sorted(jobs, key=lambda job: job.pair):
-            payload = (job.config_name, job.run.spec.to_dict(),
-                       job.second_spec.to_dict(), self.instructions,
-                       self.num_registers, job.second_base_pc, job.config)
-            tasks.append(_SupervisedTask(
-                fn=simulate_smt_job_payload, payload=payload,
-                label=smt_job_label(job),
-                validate=self._smt_validator(job.pair)))
-        try:
-            raw = self._supervise(tasks)
-        except SweepExecutionError as error:
-            error.partial = dict(self._partial_successes(error))
-            raise
-        return dict(raw)
-
-    @staticmethod
-    def _partial_successes(error: SweepExecutionError) -> List[Tuple[object, object]]:
-        """The keyed payload tuples a failed supervision pass still completed."""
-        return list(error.results)
-
     def _execute_wave(self, jobs: Sequence[SimulationJob],
                       smt_jobs: Sequence[SmtJob] = ()
                       ) -> Tuple[Dict[Tuple[str, str], SimulationResult],
@@ -664,7 +609,7 @@ class ParallelExperimentRunner(ExperimentRunner):
         try:
             raw = self._supervise(tasks)
         except SweepExecutionError as error:
-            error.partial = self._merge_wave(self._partial_successes(error))
+            error.partial = self._merge_wave(error.results)
             raise
         return self._merge_wave(raw)
 
@@ -723,8 +668,7 @@ class ParallelExperimentRunner(ExperimentRunner):
         try:
             raw = self._supervise(tasks)
         except SweepExecutionError as error:
-            self._publish_reports(self._partial_successes(error),
-                                  specs_by_name, cached_reports)
+            self._publish_reports(error.results, specs_by_name, cached_reports)
             raise
         runs: Dict[str, WorkloadRun] = {}
         for name, trace, report in raw:

@@ -7,31 +7,35 @@ benchmarks use a reduced set (a few workloads per suite, a few thousand
 instructions) so the whole suite finishes in minutes, while the full
 90-workload sweep of the paper is available by passing ``per_suite=None``.
 
-The execution layer is split so serial and parallel runners share one
-planning/aggregation core, with every expensive phase behind an overridable
-hook:
+Every simulation goes through one execution core,
+:meth:`ExperimentRunner._run_wave`:
 
-* :meth:`ExperimentRunner.run_config` plans the outstanding
-  :class:`SimulationJob` list (consulting the optional on-disk
-  :class:`~repro.experiments.cache.ResultCache` first), hands the jobs to
-  :meth:`ExperimentRunner._execute_jobs`, and commits the merged results
-  *atomically* — either every selected workload gets a result or none does,
-  so a config factory raising mid-sweep can never leave a partially populated
-  :class:`WorkloadRun` that later aggregation misreads as complete.
-* :meth:`ExperimentRunner.run_smt_config` follows the same pipeline for the
-  paper's SMT2 pair sweeps: it plans :class:`SmtJob` records, consults the
-  result cache (SMT entries round-trip through
-  :meth:`~repro.pipeline.smt.SmtResult.to_dict`), executes the outstanding
-  jobs via the :meth:`ExperimentRunner._execute_smt_jobs` hook and commits the
-  per-pair results atomically into an in-memory store keyed by config name.
-* :meth:`ExperimentRunner.workloads` generates traces and Load Inspector
-  reports through the :meth:`ExperimentRunner._generate_workloads` hook, so
-  cold starts can shard trace synthesis too.  Reports are served from the
-  optional on-disk :class:`~repro.experiments.cache.ReportCache` when one is
-  attached; traces are always regenerated from the spec's seed, which keeps
-  them bit-identical at any worker count.
+1. **plan** — :meth:`ExperimentRunner.plan_jobs` /
+   :meth:`ExperimentRunner.plan_smt_jobs` materialise one
+   :class:`SimulationJob` / :class:`SmtJob` per outstanding (configuration,
+   workload or pair), before anything executes;
+2. **stage** — jobs with a warm entry in the optional on-disk
+   :class:`~repro.experiments.cache.ResultCache` are served from it;
+3. **execute** — the rest go to the :meth:`ExperimentRunner._execute_wave`
+   hook as one batch, results keyed by ``(config, workload/pair)``;
+4. **journal** — a failed wave writes its successes to the on-disk cache
+   (never the in-memory stores) and re-raises, so a rerun executes only the
+   missing jobs;
+5. **commit** — *atomically*: either every job gets its result or none does,
+   so a failure mid-wave never leaves a partially populated
+   :class:`WorkloadRun` that later aggregation misreads as complete.
 
-The base class runs every hook serially in-process;
+:meth:`ExperimentRunner.run_config` and :meth:`ExperimentRunner.run_smt_config`
+are one-configuration waves; the cross-figure
+:class:`~repro.experiments.orchestrator.SweepOrchestrator` feeds the core many
+figures' deduplicated jobs at once.  :meth:`ExperimentRunner.workloads`
+generates traces and Load Inspector reports through the
+:meth:`ExperimentRunner._generate_workloads` hook.  Reports are served from the
+optional on-disk :class:`~repro.experiments.cache.ReportCache` when one is
+attached; traces are always regenerated from the spec's seed, which keeps them
+bit-identical at any worker count.
+
+The base class runs both hooks serially in-process;
 :class:`~repro.experiments.parallel.ParallelExperimentRunner` overrides just
 the hooks to shard work over a process pool.  All hook results merge into
 dictionaries keyed by workload name (or pair), so shard completion order never
@@ -177,7 +181,7 @@ def smt_job_label(job: SmtJob) -> str:
 
 @dataclass
 class DeadLetter:
-    """One job that exhausted every execution rung of a sweep.
+    """One job that exhausted every execution rung of a sweep (or hit a model error).
 
     ``error`` is the traceback text of the last pool-side failure (remote
     workers format it before the exception crosses the process boundary, so
@@ -243,7 +247,7 @@ class SweepHealthReport:
 
 
 class SweepExecutionError(RuntimeError):
-    """One or more jobs dead-lettered after every retry/degradation rung.
+    """One or more jobs dead-lettered (a model error, or every rung exhausted).
 
     Subclasses :class:`RuntimeError` and embeds the last failure's traceback
     text in its message, so callers matching on the underlying error's text
@@ -253,8 +257,8 @@ class SweepExecutionError(RuntimeError):
     a resume journal: a rerun (or ``repro sweep --resume``) re-executes only
     the jobs that are genuinely missing.
 
-    ``partial`` is set by each ``_execute_*`` hook to its merged-dictionary
-    return shape (results keyed exactly as the hook would have keyed them).
+    ``partial`` is set by :meth:`ExperimentRunner._execute_wave` to its
+    ``(sim results, smt results)`` return shape.
     """
 
     def __init__(self, dead_letters: Sequence[DeadLetter],
@@ -268,8 +272,8 @@ class SweepExecutionError(RuntimeError):
             f"{labels}\nlast failure:\n{detail}")
         self.dead_letters = list(dead_letters)
         self.health = health
-        #: Raw supervisor successes (executor-internal shape); the hooks
-        #: reduce these into ``partial``.
+        #: Raw supervisor successes (executor-internal shape); the wave hook
+        #: reduces these into ``partial``.
         self.results: List[object] = []
         self.partial: Optional[object] = None
 
@@ -379,18 +383,29 @@ class ExperimentRunner:
                 stats_oracle_pcs=run.report.global_stable_pcs())
         return materialised
 
+    def _owned_workloads(self, shard: Optional[Shard]) -> List[str]:
+        """Workload names in spec order, restricted to ``shard`` when given."""
+        names = list(self.workloads())
+        if shard is None:
+            return names
+        owned = set(shard.select(names))
+        return [name for name in names if name in owned]
+
     def plan_jobs(self, name: str, config: ConfigLike,
-                  workload_names: Optional[Sequence[str]] = None) -> List[SimulationJob]:
+                  shard: Optional[Shard] = None) -> List[SimulationJob]:
         """Materialise one :class:`SimulationJob` per workload still missing ``name``.
 
         Planning materialises every configuration *before* anything executes,
         so a factory raising mid-sweep aborts the whole sweep with the in-memory
-        result store untouched.
+        result store untouched.  With a :class:`Shard`, only the workloads it
+        owns are planned: materialising configs (oracle builders, cache-key
+        hashing) for workloads other shards own would waste (N-1)/N of the
+        planning work on every host.
         """
+        workloads = self.workloads()
         jobs: List[SimulationJob] = []
-        for workload_name, run in self.workloads().items():
-            if workload_names is not None and workload_name not in workload_names:
-                continue
+        for workload_name in self._owned_workloads(shard):
+            run = workloads[workload_name]
             if name in run.results:
                 continue
             core_config = self._materialise_config(config, run)
@@ -429,47 +444,21 @@ class ExperimentRunner:
         self.health.dead_letters.append(letter)
         return letter
 
-    def _execute_jobs(self, jobs: Sequence[SimulationJob]) -> Dict[str, SimulationResult]:
-        """Simulate every planned job serially; subclasses override to shard.
-
-        Returns results keyed by workload name, so merging is independent of
-        execution/completion order.  A failure raises
-        :class:`SweepExecutionError` carrying the results completed so far
-        (``partial``), so the commit layer can journal them to the on-disk
-        cache before the error propagates.
-        """
-        results: Dict[str, SimulationResult] = {}
-        for job in jobs:
-            self.health.jobs += 1
-            self.health.attempts += 1
-            try:
-                results[job.workload] = self._simulate_job(job)
-            except Exception as exc:
-                letter = self._dead_letter(sim_job_label(job), error=exc)
-                error = SweepExecutionError([letter], self.health)
-                error.partial = results
-                raise error from exc
-        return results
-
     def _execute_wave(self, jobs: Sequence[SimulationJob],
                       smt_jobs: Sequence[SmtJob] = ()
                       ) -> Tuple[Dict[Tuple[str, str], SimulationResult],
                                  Dict[Tuple[str, Tuple[str, str]], SmtResult]]:
-        """Execute a mixed multi-configuration batch as one wave.
+        """Execute a batch of jobs, possibly for many configurations at once.
 
-        Unlike :meth:`_execute_jobs`, whose result dictionary is keyed by
-        workload alone (one configuration per call), a wave may carry jobs for
-        *many* configurations at once, so results are keyed by
-        ``(config_name, workload)`` and ``(config_name, pair)``.  The serial
-        implementation just loops; the parallel runner overrides this to feed
-        every job — single-thread and SMT alike — into one process pool
-        submission, so the pool never drains between configurations or figure
-        harnesses.  This is the execution hook behind the cross-figure
-        :class:`~repro.experiments.orchestrator.SweepOrchestrator`.
+        Results are keyed by ``(config_name, workload)`` and
+        ``(config_name, pair)``, so merging is independent of execution and
+        completion order.  The serial implementation just loops; the parallel
+        runner overrides this to feed every job — single-thread and SMT alike
+        — into one process pool submission, so the pool never drains between
+        configurations or figure harnesses.
 
-        Like :meth:`_execute_jobs`, a failure raises
-        :class:`SweepExecutionError` whose ``partial`` carries the
-        ``(sim results, smt results)`` completed so far.
+        A failure raises :class:`SweepExecutionError` whose ``partial``
+        carries the ``(sim results, smt results)`` completed so far.
         """
         sim_results: Dict[Tuple[str, str], SimulationResult] = {}
         smt_results: Dict[Tuple[str, Tuple[str, str]], SmtResult] = {}
@@ -509,113 +498,116 @@ class ExperimentRunner:
         error.partial = (sim_results, smt_results)
         return error
 
-    def _stage_cached_jobs(self, jobs: Sequence[SimulationJob]
-                           ) -> Tuple[Dict[str, SimulationResult], List[SimulationJob]]:
-        """Split planned jobs into (cache-served results, outstanding jobs)."""
-        staged: Dict[str, SimulationResult] = {}
+    def _run_wave(self, jobs: Sequence[SimulationJob],
+                  smt_jobs: Sequence[SmtJob] = ()
+                  ) -> Tuple[List[SimulationJob], List[SmtJob]]:
+        """The execution core: stage from cache → execute → journal → commit.
+
+        Jobs with a warm on-disk cache entry are served from it; the rest run
+        through :meth:`_execute_wave` as one batch.  A failed wave journals
+        its successes to the on-disk cache and re-raises.  Otherwise every
+        job's result is committed to the in-memory stores at once — and
+        before the disk-store writes, so a cache I/O failure (disk full,
+        permissions) cannot throw away a successfully simulated wave.  Each
+        put also appends the entry's columnar warehouse row, which keeps the
+        warehouse in lockstep with the journal on every path.
+
+        Returns the jobs that were executed (the others came from the cache).
+        """
+        staged: Dict[Tuple[str, str], SimulationResult] = {}
         outstanding: List[SimulationJob] = []
         for job in jobs:
             cached = self.cache.get(job.cache_key) if job.cache_key is not None else None
-            if cached is not None:
-                staged[job.workload] = cached
-            else:
+            if cached is None:
                 outstanding.append(job)
-        return staged, outstanding
-
-    def run_config(self, name: str, config: ConfigLike,
-                   workload_names: Optional[Sequence[str]] = None,
-                   shard: Optional[Shard] = None) -> Dict[str, SimulationResult]:
-        """Run ``config`` over the workload set; results are cached by ``name``.
-
-        The pipeline is plan → filter-by-shard → execute → commit: when a
-        :class:`Shard` is given, only the workloads that shard owns execute
-        (and only their results are committed and returned); N shards sharing
-        one cache directory therefore cover the full suite disjointly, and a
-        later unsharded call folds the per-shard cache entries back into the
-        exact result set the serial runner produces.
-
-        Results are committed atomically: if planning, simulation or cache
-        lookup raises for any workload, no workload's result store is touched.
-        """
-        selected: Optional[set] = None
-        if shard is not None:
-            selected = set(shard.select(list(self.workloads())))
-            if workload_names is not None:
-                selected &= set(workload_names)
-            # Plan only the shard's workloads: materialising configs (oracle
-            # builders, cache-key hashing) for workloads other shards own
-            # would waste (N-1)/N of the planning work on every host.
-            workload_names = selected
-        jobs = self.plan_jobs(name, config, workload_names)
-        staged, outstanding = self._stage_cached_jobs(jobs)
-        if outstanding:
+            else:
+                staged[(job.config_name, job.workload)] = cached
+        staged_smt: Dict[Tuple[str, Tuple[str, str]], SmtResult] = {}
+        outstanding_smt: List[SmtJob] = []
+        for smt_job in smt_jobs:
+            cached_smt = (self.cache.get_smt(smt_job.cache_key)
+                          if smt_job.cache_key is not None else None)
+            if cached_smt is None:
+                outstanding_smt.append(smt_job)
+            else:
+                staged_smt[(smt_job.config_name, smt_job.pair)] = cached_smt
+        if outstanding or outstanding_smt:
             try:
-                staged.update(self._execute_jobs(outstanding))
+                sim_results, smt_results = self._execute_wave(outstanding,
+                                                              outstanding_smt)
             except SweepExecutionError as error:
-                # Journal the failed sweep's successes to the on-disk cache
-                # (never the in-memory store — the atomic-commit contract
-                # holds) so a rerun re-executes only the missing jobs.
-                partial = error.partial if isinstance(error.partial, dict) else {}
-                self._journal_partial({job.cache_key: partial.get(job.workload)
-                                       for job in outstanding}, smt=False)
+                self._journal_partial(error, outstanding, outstanding_smt)
                 raise
-        missing = [job.workload for job in jobs if job.workload not in staged]
+            staged.update(sim_results)
+            staged_smt.update(smt_results)
+        missing = [sim_job_label(job) for job in jobs
+                   if (job.config_name, job.workload) not in staged]
+        missing += [smt_job_label(job) for job in smt_jobs
+                    if (job.config_name, job.pair) not in staged_smt]
         if missing:
-            raise RuntimeError(
-                f"executor returned no result for workloads {missing!r} of config {name!r}")
-        # Commit only after every job succeeded — and before the disk-store
-        # writes, so a cache I/O failure (disk full, permissions) cannot throw
-        # away an entire successfully simulated sweep.  The disk puts below
-        # are also what append each entry's columnar warehouse row: every
-        # commit path (serial, parallel, orchestrated, journaled) funnels
-        # through cache.put/put_smt, which keeps the warehouse in lockstep
-        # with the journal without any per-path wiring.
+            raise RuntimeError(f"wave executor returned no result for jobs {missing!r}")
         workloads = self.workloads()
-        for workload_name, result in staged.items():
-            workloads[workload_name].results[name] = result
-        if self.cache is not None:
-            for job in outstanding:
-                self.cache.put(job.cache_key, staged[job.workload])
-        if selected is not None:
-            # Shard coverage, not residual-plan coverage: workloads this shard
-            # owns that were committed by an earlier call still belong in the
-            # returned slice.  Iterate the workload dict (spec order) so the
-            # returned mapping's order is deterministic, never set order.
-            return {workload_name: run.results[name]
-                    for workload_name, run in workloads.items()
-                    if workload_name in selected and name in run.results}
+        for job in jobs:
+            workloads[job.workload].results[job.config_name] = \
+                staged[(job.config_name, job.workload)]
+        for smt_job in smt_jobs:
+            self._smt_results.setdefault(smt_job.config_name, {})[smt_job.pair] = \
+                staged_smt[(smt_job.config_name, smt_job.pair)]
+        for job in outstanding:
+            if job.cache_key is not None:
+                self.cache.put(job.cache_key, staged[(job.config_name, job.workload)])
+        for smt_job in outstanding_smt:
+            if smt_job.cache_key is not None:
+                self.cache.put_smt(smt_job.cache_key,
+                                   staged_smt[(smt_job.config_name, smt_job.pair)])
+        return outstanding, outstanding_smt
 
-        results: Dict[str, SimulationResult] = {}
-        for workload_name, run in workloads.items():
-            if workload_names is not None and workload_name not in workload_names:
-                continue
-            results[workload_name] = run.results[name]
-        return results
-
-    def _journal_partial(self, by_key: Dict[Optional[str], object],
-                         smt: bool) -> None:
-        """Best-effort commit of a failed sweep's successes to the disk cache.
+    def _journal_partial(self, error: SweepExecutionError,
+                         jobs: Sequence[SimulationJob],
+                         smt_jobs: Sequence[SmtJob]) -> None:
+        """Best-effort commit of a failed wave's successes to the disk cache.
 
         Runs on the error path, so every cache I/O failure is absorbed — a
         full disk must never mask the execution error being propagated.  The
         in-memory stores are deliberately untouched: partial results are a
         *journal* for resume, not a committed sweep.  Each journaled put also
-        appends the entry's columnar warehouse row (inside ``cache.put``), so
-        the warehouse agrees with the journal even on the failure path — a
-        ``--resume`` of this sweep finds both in lockstep.
+        appends the entry's columnar warehouse row, so the warehouse agrees
+        with the journal even on the failure path — a ``--resume`` of this
+        sweep finds both in lockstep.
         """
-        if self.cache is None:
+        if self.cache is None or not isinstance(error.partial, tuple):
             return
-        for key, result in by_key.items():
-            if key is None or result is None:
-                continue
-            try:
-                if smt:
-                    self.cache.put_smt(key, result)
-                else:
-                    self.cache.put(key, result)
-            except OSError:
-                pass
+        partial_sim, partial_smt = error.partial
+        for job in jobs:
+            result = partial_sim.get((job.config_name, job.workload))
+            if result is not None and job.cache_key is not None:
+                try:
+                    self.cache.put(job.cache_key, result)
+                except OSError:
+                    pass
+        for smt_job in smt_jobs:
+            smt_result = partial_smt.get((smt_job.config_name, smt_job.pair))
+            if smt_result is not None and smt_job.cache_key is not None:
+                try:
+                    self.cache.put_smt(smt_job.cache_key, smt_result)
+                except OSError:
+                    pass
+
+    def run_config(self, name: str, config: ConfigLike,
+                   shard: Optional[Shard] = None) -> Dict[str, SimulationResult]:
+        """Run ``config`` over the workload set; results are cached by ``name``.
+
+        One single-configuration wave through :meth:`_run_wave`.  When a
+        :class:`Shard` is given, only the workloads that shard owns execute
+        (and only their results are returned); N shards sharing one cache
+        directory therefore cover the full suite disjointly, and a later
+        unsharded call folds the per-shard cache entries back into the exact
+        result set the serial runner produces.
+        """
+        self._run_wave(self.plan_jobs(name, config, shard))
+        workloads = self.workloads()
+        return {workload_name: workloads[workload_name].results[name]
+                for workload_name in self._owned_workloads(shard)}
 
     # ---------------------------------------------------------------- lifecycle
 
@@ -695,7 +687,8 @@ class ExperimentRunner:
 
     # --------------------------------------------------------------------- SMT
 
-    def smt_pairs(self, max_pairs: Optional[int] = None) -> List[Tuple[str, str]]:
+    def smt_pairs(self, max_pairs: Optional[int] = None,
+                  shard: Optional[Shard] = None) -> List[Tuple[str, str]]:
         """Deterministic cross-suite workload pairings for SMT2 experiments.
 
         Specs are interleaved round-robin across suites (every suite's first
@@ -704,17 +697,22 @@ class ExperimentRunner:
         suite sizes allow.  The order is a pure function of the spec list:
         ``max_pairs`` only truncates, and growing ``per_suite`` only appends
         pairs — the existing prefix never reshuffles (regression-pinned in
-        ``tests/test_experiments.py``).
+        ``tests/test_experiments.py``).  A :class:`Shard` keeps only the pairs
+        it owns, in the same order.
         """
         names = [spec.name for spec in round_robin_specs(self.specs())]
         pairs = [(names[index], names[index + 1])
                  for index in range(0, len(names) - 1, 2)]
         if max_pairs is not None:
             pairs = pairs[:max_pairs]
+        if shard is not None:
+            owned = set(shard.select(pairs))
+            pairs = [pair for pair in pairs if pair in owned]
         return pairs
 
     def plan_smt_jobs(self, name: str, config: ConfigLike,
-                      max_pairs: Optional[int] = None) -> List[SmtJob]:
+                      max_pairs: Optional[int] = None,
+                      shard: Optional[Shard] = None) -> List[SmtJob]:
         """Materialise one :class:`SmtJob` per pair still missing ``name``.
 
         Mirrors :meth:`plan_jobs`: every configuration is materialised before
@@ -724,7 +722,7 @@ class ExperimentRunner:
         committed = self._smt_results.get(name, {})
         workloads = self.workloads()
         jobs: List[SmtJob] = []
-        for pair in self.smt_pairs(max_pairs):
+        for pair in self.smt_pairs(max_pairs, shard):
             if pair in committed:
                 continue
             first = workloads[pair[0]]
@@ -740,78 +738,16 @@ class ExperimentRunner:
                                cache_key=cache_key))
         return jobs
 
-    def _execute_smt_jobs(self, jobs: Sequence[SmtJob]
-                          ) -> Dict[Tuple[str, str], SmtResult]:
-        """Simulate every planned SMT job serially; subclasses override to shard.
-
-        Results are keyed by pair, so merging is independent of execution
-        order.  Failures follow the :meth:`_execute_jobs` contract: a
-        :class:`SweepExecutionError` with the completed pairs in ``partial``.
-        """
-        results: Dict[Tuple[str, str], SmtResult] = {}
-        for job in jobs:
-            self.health.jobs += 1
-            self.health.attempts += 1
-            try:
-                results[job.pair] = self._simulate_smt_job(job)
-            except Exception as exc:
-                letter = self._dead_letter(smt_job_label(job), error=exc)
-                error = SweepExecutionError([letter], self.health)
-                error.partial = results
-                raise error from exc
-        return results
-
-    def _stage_cached_smt_jobs(self, jobs: Sequence[SmtJob]
-                               ) -> Tuple[Dict[Tuple[str, str], SmtResult], List[SmtJob]]:
-        """Split planned SMT jobs into (cache-served results, outstanding jobs)."""
-        staged: Dict[Tuple[str, str], SmtResult] = {}
-        outstanding: List[SmtJob] = []
-        for job in jobs:
-            cached = (self.cache.get_smt(job.cache_key)
-                      if job.cache_key is not None else None)
-            if cached is not None:
-                staged[job.pair] = cached
-            else:
-                outstanding.append(job)
-        return staged, outstanding
-
     def run_smt_config(self, name: str, config: ConfigLike,
                        max_pairs: Optional[int] = None,
                        shard: Optional[Shard] = None) -> Dict[Tuple[str, str], SmtResult]:
         """Run an SMT2 configuration over the cross-suite pairs.
 
-        Follows the same plan → filter-by-shard → execute → commit pipeline as
-        :meth:`run_config`: per-pair results are memoised under ``name``, warm
+        The SMT counterpart of :meth:`run_config`: one wave through
+        :meth:`_run_wave`, per-pair results memoised under ``name``, warm
         cache entries skip simulation entirely, a :class:`Shard` restricts the
-        sweep to the pairs that shard owns, and the commit is atomic — a
-        failure anywhere in the sweep leaves the in-memory store untouched.
+        sweep to the pairs that shard owns, and the commit is atomic.
         """
-        pairs = self.smt_pairs(max_pairs)
-        if shard is not None:
-            owned = set(shard.select(pairs))
-            pairs = [pair for pair in pairs if pair in owned]
-        jobs = self.plan_smt_jobs(name, config, max_pairs)
-        if shard is not None:
-            jobs = [job for job in jobs if job.pair in owned]
-        staged, outstanding = self._stage_cached_smt_jobs(jobs)
-        if outstanding:
-            try:
-                staged.update(self._execute_smt_jobs(outstanding))
-            except SweepExecutionError as error:
-                # Same resume-journal contract as run_config: disk cache only.
-                partial = error.partial if isinstance(error.partial, dict) else {}
-                self._journal_partial({job.cache_key: partial.get(job.pair)
-                                       for job in outstanding}, smt=True)
-                raise
-        missing = [job.pair for job in jobs if job.pair not in staged]
-        if missing:
-            raise RuntimeError(
-                f"executor returned no result for SMT pairs {missing!r} of config {name!r}")
-        # Commit only after every job succeeded, and before the disk-store
-        # writes so a cache I/O failure cannot discard a finished sweep.
-        committed = self._smt_results.setdefault(name, {})
-        committed.update(staged)
-        if self.cache is not None:
-            for job in outstanding:
-                self.cache.put_smt(job.cache_key, staged[job.pair])
-        return {pair: committed[pair] for pair in pairs}
+        self._run_wave((), self.plan_smt_jobs(name, config, max_pairs, shard))
+        committed = self._smt_results.get(name, {})
+        return {pair: committed[pair] for pair in self.smt_pairs(max_pairs, shard)}

@@ -415,18 +415,22 @@ def test_orchestrated_sweep_streams_dedup_into_cache_stats(tmp_path, capsys):
 
 # ---------------------------------------------------------- sensitivity sweeps
 
-def test_sweep_sensitivity_family_warms_fig13_and_fig20(tmp_path, simulation_counter):
-    """The fig. 13/20 config families are sweepable: a sensitivity sweep into a
-    cache directory lets both sensitivity figures regenerate simulation-free."""
-    assert main(["sweep", "--families", "sensitivity", "--smt-configs", "none"]
+@pytest.mark.parametrize("family, figures", [
+    ("sensitivity", ("fig13", "fig20")),
+    ("main", ("fig11", "fig12", "fig15", "fig16")),
+], ids=["sensitivity", "main"])
+def test_sweep_sensitivity_family_warms_fig13_and_fig20(
+        tmp_path, simulation_counter, family, figures):
+    """Each sweep family is derived from its figures' declarations: sweeping
+    it into a cache directory lets those figures regenerate simulation-free."""
+    assert main(["sweep", "--families", family, "--smt-configs", "none"]
                 + _runner_args(tmp_path)) == 0
     swept = simulation_counter["count"]
     assert swept > 0
-    for figure in ("fig13", "fig20"):
-        assert main(["figures", figure] + _runner_args(tmp_path)
-                    + ["--expect-warm"]) == 0, figure
+    assert main(["figures", *figures] + _runner_args(tmp_path)
+                + ["--expect-warm"]) == 0, figures
     assert simulation_counter["count"] == swept, \
-        "warm sensitivity figures must not simulate"
+        f"warm {family} figures must not simulate"
 
 
 def test_sweep_rejects_unknown_family(tmp_path):
@@ -936,36 +940,29 @@ def test_expect_warm_catches_cold_orchestrator_jobs_without_sim_counters():
         "no wave (serial path) leaves the harness counters in charge"
 
 
-def test_figures_cli_prints_dedup_stats_only_when_orchestrating(tmp_path, capsys):
-    args = ["figures", "fig11"] + _runner_args(tmp_path)
-    assert main(args) == 0
-    assert "orchestrated wave" in capsys.readouterr().out
-    assert main(args + ["--no-orchestrate"]) == 0
-    assert "orchestrated wave" not in capsys.readouterr().out
-
-
-def test_orchestrate_env_flips_the_default(tmp_path, capsys, monkeypatch):
-    from repro.cli import ORCHESTRATE_ENV
-
-    monkeypatch.setenv(ORCHESTRATE_ENV, "0")
-    assert main(["figures", "fig11"] + _runner_args(tmp_path)) == 0
-    assert "orchestrated wave" not in capsys.readouterr().out
-    # The explicit flag beats the environment.
-    assert main(["figures", "fig11", "--orchestrate"]
-                + _runner_args(tmp_path)) == 0
-    assert "orchestrated wave" in capsys.readouterr().out
-
-
 def test_orchestrated_and_serial_figures_cli_share_cache_bit_identically(
         tmp_path, capsys):
-    """The CLI's orchestrated path warms a cache the serial path then reuses."""
+    """Figures run one at a time (each its own wave) warm the cache that one
+    all-figures wave then reuses simulation-free, with the same payload for
+    every figure."""
+    from repro.experiments.figures import FIGURE_HARNESSES
+
     args = _runner_args(tmp_path)
-    assert main(["figures", "fig11", "--json"] + args) == 0
-    orchestrated, _ = json.JSONDecoder().raw_decode(capsys.readouterr().out)
-    assert main(["figures", "fig11", "--json", "--no-orchestrate",
-                 "--expect-warm"] + args) == 0
-    serial, _ = json.JSONDecoder().raw_decode(capsys.readouterr().out)
-    assert orchestrated == serial
+    decoder = json.JSONDecoder()
+    per_figure = {}
+    for name in FIGURE_HARNESSES:
+        assert main(["figures", name, "--json"] + args) == 0
+        payload, _ = decoder.raw_decode(capsys.readouterr().out)
+        per_figure.update(payload)
+    assert main(["figures", "all", "--json", "--expect-warm"] + args) == 0
+    out = capsys.readouterr().out.lstrip()
+    combined = {}
+    while out.startswith("{"):
+        payload, end = decoder.raw_decode(out)
+        combined.update(payload)
+        out = out[end:].lstrip()
+    assert combined == per_figure
+    assert list(combined) == list(FIGURE_HARNESSES)
 
 
 def test_figures_cli_rejects_unknown_figure(tmp_path):

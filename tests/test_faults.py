@@ -56,6 +56,7 @@ from repro.experiments.reporting import (
     format_persisted_health,
 )
 from repro.experiments.runner import ExperimentRunner, SweepExecutionError
+from repro.pipeline.cpu import GoldenCheckError, OutOfOrderCore
 
 #: Reduced sweep shared by the chaos tests: 2 workloads, short traces.
 SUITES = ("Client", "Server")
@@ -141,6 +142,10 @@ def test_job_execution_error_survives_pickling():
     assert clone.remote_traceback == error.remote_traceback
     assert "sim:baseline/client_00" in str(clone)
     assert "ValueError: boom" in str(clone)
+    assert clone.retryable
+    final = pickle.loads(pickle.dumps(JobExecutionError(
+        "sim:constable/client_00", 1, "GoldenCheckError: stale", False)))
+    assert final.retryable is False
 
 
 # ----------------------------------------------------- the chaos differential
@@ -214,6 +219,37 @@ def test_exhausted_pool_budget_degrades_to_in_process(monkeypatch):
     assert health.attempts == 6
 
 
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                    reason="workers must inherit the patched core")
+def test_model_errors_fail_fast_without_retry_or_fallback(monkeypatch):
+    """A golden-check failure is a deterministic model error: re-running it
+    in the pool or in-process only repeats it, so the supervisor dead-letters
+    it after one attempt.  Chaos faults stay retryable (tests above)."""
+    def stale_value(core):
+        raise GoldenCheckError(f"{core.name}: eliminated load retired a "
+                               f"stale value")
+
+    monkeypatch.setattr(OutOfOrderCore, "run", stale_value)
+    with ParallelExperimentRunner(per_suite=1, instructions=INSTRUCTIONS,
+                                  suites=SUITES, max_workers=2, max_retries=2,
+                                  start_method="fork",
+                                  retry_backoff_seconds=0.0) as runner:
+        runner.workloads()
+        with pytest.raises(SweepExecutionError) as excinfo:
+            runner.run_config("constable", constable_config())
+        health = runner.health
+    letters = excinfo.value.dead_letters
+    assert sorted(letter.label for letter in letters) == [
+        "sim:constable/client_00", "sim:constable/server_00"]
+    for letter in letters:
+        assert letter.attempts == 1
+        assert "GoldenCheckError" in letter.error
+        assert letter.fallback_error == "", "no in-process re-run"
+    assert health.attempts == 4  # 2 gen jobs + one attempt per sim job
+    assert (health.retries, health.degraded) == (0, 0)
+    assert health.dead_lettered == 2
+
+
 def test_supervision_env_defaults_are_lenient(monkeypatch):
     monkeypatch.setenv(MAX_RETRIES_ENV, "several")
     monkeypatch.setenv(JOB_TIMEOUT_ENV, "-3")
@@ -265,9 +301,9 @@ def test_failed_sweep_journals_successes_and_resumes(tmp_path, monkeypatch):
 
 def test_failed_wave_journals_and_resume_executes_only_missing(tmp_path,
                                                                monkeypatch):
-    """Orchestrated waves journal partial successes too (runner.py commit layer
-    + orchestrator._journal_partial_wave), and the resumed wave's own dedup
-    stats prove only the missing job executed."""
+    """Orchestrated waves journal partial successes through the same runner
+    core as ``run_config``, and the resumed wave's own dedup stats prove only
+    the missing job executed."""
     plan = FigurePlan("sweep", configs={"baseline": baseline_config(),
                                         "constable": constable_config()})
     monkeypatch.setenv(FAULT_PLAN_ENV, json.dumps({
@@ -336,7 +372,8 @@ def test_crash_during_commit_leaves_reclaimable_orphan(tmp_path):
                               suites=("Client",), cache=ResultCache(tmp_path))
     (job,) = runner.plan_jobs("baseline", baseline_config())
     assert job.cache_key is not None
-    result = runner._execute_jobs([job])[job.workload]
+    sim_results, _ = runner._execute_wave([job])
+    result = sim_results[(job.config_name, job.workload)]
 
     context = multiprocessing.get_context("fork")
     child = context.Process(target=_crash_inside_commit,

@@ -363,7 +363,6 @@ def test_cache_fingerprint_ignores_engine_and_runtime_env(tmp_path, monkeypatch)
 
     monkeypatch.setenv("REPRO_CORE_ENGINE", "cycle")
     monkeypatch.delenv("REPRO_BENCH_REPS", raising=False)
-    monkeypatch.delenv("REPRO_ORCHESTRATE", raising=False)
     monkeypatch.delenv("REPRO_FAULT_PLAN", raising=False)
     monkeypatch.delenv("REPRO_MAX_RETRIES", raising=False)
     monkeypatch.delenv("REPRO_JOB_TIMEOUT", raising=False)
@@ -371,7 +370,6 @@ def test_cache_fingerprint_ignores_engine_and_runtime_env(tmp_path, monkeypatch)
 
     monkeypatch.setenv("REPRO_CORE_ENGINE", "event")
     monkeypatch.setenv("REPRO_BENCH_REPS", "9")
-    monkeypatch.setenv("REPRO_ORCHESTRATE", "1")
     monkeypatch.setenv("REPRO_FAULT_PLAN", '{"sim:*": {"kind": "raise"}}')
     monkeypatch.setenv("REPRO_MAX_RETRIES", "7")
     monkeypatch.setenv("REPRO_JOB_TIMEOUT", "1.5")

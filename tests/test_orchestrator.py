@@ -8,9 +8,9 @@ The three load-bearing guarantees:
   runs at most once across all requested figures; content-identical jobs
   demanded under different names (fig. 13's ``all_loads`` vs ``constable``)
   share one execution.
-* **Plan/harness consistency** — every figure harness runs with *zero*
-  simulations after its own plan's wave, so the :data:`FIGURE_PLANS`
-  registry can never silently drift from the harnesses it mirrors.
+* **One declaration per figure** — every figure harness runs its own
+  declared plan, so a harness run after the merged wave of all declarations
+  performs *zero* simulations.
 """
 
 from __future__ import annotations
@@ -19,9 +19,8 @@ import pytest
 
 from repro.experiments.cache import ReportCache, ResultCache
 from repro.experiments.configs import baseline_config, constable_config
-from repro.experiments.figures import FIGURE_HARNESSES
+from repro.experiments.figures import FIGURE_DEMANDS, FIGURE_HARNESSES
 from repro.experiments.orchestrator import (
-    FIGURE_PLANS,
     FigurePlan,
     SweepOrchestrator,
     orchestrate_figures,
@@ -72,11 +71,11 @@ def serial_reference():
 # ------------------------------------------------------------------ registry
 
 def test_every_figure_harness_has_a_plan():
-    assert set(FIGURE_PLANS) == set(FIGURE_HARNESSES)
+    assert set(FIGURE_DEMANDS) == set(FIGURE_HARNESSES)
 
 
 def test_plans_carry_their_own_figure_name():
-    for name, factory in FIGURE_PLANS.items():
+    for name, factory in FIGURE_DEMANDS.items():
         assert factory().figure == name
 
 
@@ -103,86 +102,28 @@ def test_each_unique_simulation_runs_at_most_once(simulation_counter):
     assert stats.executed < stats.planned
 
 
-def test_plans_match_harness_config_contents(monkeypatch):
-    """Content drift between a plan and its harness cannot ship.
-
-    ``test_harnesses_after_wave_simulate_nothing`` proves the plans cover the
-    harnesses' *names*; this proves the *contents* match: every config a
-    harness actually passes to ``run_config``/``run_smt_config`` is captured,
-    materialised and fingerprinted (the dedup/cache-key material), and each
-    plan's declared config must fingerprint identically.  It also asserts no
-    two harnesses use one name for different contents — the property that
-    makes committing a shared result under a merged name sound.
-    """
-    from repro.experiments.cache import config_fingerprint
-
-    captured: dict = {}       # name -> set of fingerprint texts (harness side)
-    captured_smt: dict = {}   # name -> (fingerprints, max_pairs values)
-
-    def _text(runner, config):
-        run = next(iter(runner.workloads().values()))
-        materialised = runner._materialise_config(config, run)
-        import json as _json
-        return _json.dumps(config_fingerprint(materialised), sort_keys=True,
-                           default=str)
-
-    original_run = ExperimentRunner.run_config
-    original_smt = ExperimentRunner.run_smt_config
-
-    def recording_run(self, name, config, workload_names=None, shard=None):
-        captured.setdefault(name, set()).add(_text(self, config))
-        return original_run(self, name, config, workload_names, shard)
-
-    def recording_smt(self, name, config, max_pairs=None, shard=None):
-        fingerprints, budgets = captured_smt.setdefault(name, (set(), set()))
-        fingerprints.add(_text(self, config))
-        budgets.add(max_pairs)
-        return original_smt(self, name, config, max_pairs, shard)
-
-    monkeypatch.setattr(ExperimentRunner, "run_config", recording_run)
-    monkeypatch.setattr(ExperimentRunner, "run_smt_config", recording_smt)
-    with _make_runner() as shared:
-        for name in FIGURE_PLANS:
-            FIGURE_HARNESSES[name](shared)
-
-    for name, fingerprints in captured.items():
-        assert len(fingerprints) == 1, (
-            f"harnesses disagree on the contents of config {name!r}")
-    with _make_runner() as clean:
-        for figure, factory in FIGURE_PLANS.items():
-            plan = factory()
-            for name, config in plan.configs.items():
-                assert name in captured, (figure, name)
-                assert _text(clean, config) in captured[name], (
-                    f"plan {figure} declares different contents for "
-                    f"{name!r} than the harness runs")
-            for name, config in plan.smt_configs.items():
-                assert name in captured_smt, (figure, name)
-                fingerprints, budgets = captured_smt[name]
-                assert _text(clean, config) in fingerprints, (figure, name)
-                assert plan.smt_max_pairs in budgets, (
-                    f"plan {figure} requests max_pairs={plan.smt_max_pairs} "
-                    f"but the harness used {budgets}")
-    # And nothing a harness runs is missing from the union of plans.
-    declared = set()
-    declared_smt = set()
-    for factory in FIGURE_PLANS.values():
-        plan = factory()
-        declared.update(plan.configs)
-        declared_smt.update(plan.smt_configs)
-    assert set(captured) <= declared
-    assert set(captured_smt) <= declared_smt
-
-
 def test_harnesses_after_wave_simulate_nothing(simulation_counter):
-    """Plan/harness consistency over *every* orchestratable figure."""
+    """Every figure's declaration covers its harness's whole demand."""
     with _make_runner() as runner:
-        orchestrate_figures(runner, list(FIGURE_PLANS))
+        orchestrate_figures(runner, list(FIGURE_DEMANDS))
         during_wave = simulation_counter["count"]
-        for name in FIGURE_PLANS:
+        for name in FIGURE_DEMANDS:
             FIGURE_HARNESSES[name](runner)
         assert simulation_counter["count"] == during_wave, (
             "a figure harness demanded a job its plan did not declare")
+
+
+def test_standalone_harness_runs_its_plan_as_one_deduped_wave(
+        simulation_counter):
+    """A harness on a fresh runner simulates each unique job of its own
+    (parameterised) declaration once: fig. 20's default-width and
+    default-depth grid points are the plain baseline and Constable."""
+    with _make_runner() as runner:
+        result = FIGURE_HARNESSES["fig20"](runner, load_widths=(3,),
+                                           depth_scales=(1.0,))
+        workloads = len(runner.workloads())
+    assert simulation_counter["count"] == 2 * workloads
+    assert result["load_width"][3] == result["pipeline_depth"][1.0]
 
 
 def test_second_orchestration_is_a_no_op(simulation_counter):
@@ -226,6 +167,23 @@ def test_aliased_results_share_one_cache_entry(tmp_path):
         workload_count = len(runner.workloads())
     assert stats.planned == 2 * workload_count
     assert stats.unique == stats.executed == workload_count
+
+
+def test_cache_write_failure_keeps_every_alias_committed(tmp_path,
+                                                        monkeypatch):
+    """A full disk after a finished wave costs no alias its result: the
+    in-memory commit precedes every cache write."""
+    def disk_full(self, key, result):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(ResultCache, "put", disk_full)
+    with _make_runner(cache_dir=tmp_path) as runner:
+        plan = FigurePlan("alias", configs={"constable": constable_config(),
+                                            "all_loads": constable_config()})
+        with pytest.raises(OSError):
+            SweepOrchestrator(runner).execute([plan])
+        for run in runner.workloads().values():
+            assert {"constable", "all_loads"} <= set(run.results)
 
 
 # ------------------------------------------------------------------ sharding
@@ -310,11 +268,11 @@ def test_smt_pair_budgets_merge_to_the_loosest_request():
     unbounded = FigurePlan("c", smt_configs={"baseline": baseline_config()},
                            smt_max_pairs=None)
     _, merged_smt, _ = orchestrator._merge_plans([bounded, looser], shard=None)
-    config, bound, is_unbounded = merged_smt["baseline"]
-    assert (bound, is_unbounded) == (2, False)
+    assert merged_smt["baseline"][1] == 2
     _, merged_smt, _ = orchestrator._merge_plans([bounded, unbounded], shard=None)
-    _, bound, is_unbounded = merged_smt["baseline"]
-    assert is_unbounded
+    assert merged_smt["baseline"][1] is None, "None (every pair) is loosest"
+    _, merged_smt, _ = orchestrator._merge_plans([unbounded, bounded], shard=None)
+    assert merged_smt["baseline"][1] is None
 
 
 def test_dedup_stats_serialise_round_trip():

@@ -189,11 +189,13 @@ def test_shard_merge_order_does_not_change_geomean(serial_runner):
 
 
 def test_executor_merges_by_workload_not_completion_order(serial_runner):
-    """_execute_jobs output is keyed by workload, so merging is a plain dict update."""
+    """_execute_wave output is keyed by (config, workload), so merging is a
+    plain dict update."""
     jobs = serial_runner.plan_jobs("eves", eves_config())
     assert jobs, "eves has not run yet, every workload should be planned"
-    results = serial_runner._execute_jobs(list(reversed(jobs)))
-    assert set(results) == {job.workload for job in jobs}
+    results, smt_results = serial_runner._execute_wave(list(reversed(jobs)))
+    assert set(results) == {(job.config_name, job.workload) for job in jobs}
+    assert smt_results == {}
 
 
 @pytest.mark.skipif((os.cpu_count() or 1) < 4,
